@@ -106,9 +106,6 @@ fn bench_steal_churn(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("vec"), |b| {
         b.iter(|| steal_churn_round::<VecSegment<u64>>(CHURN_OPS))
     });
-    group.bench_function(BenchmarkId::from_parameter("block"), |b| {
-        b.iter(|| steal_churn_round::<BlockSegment<u64>>(CHURN_OPS))
-    });
     group.bench_function(BenchmarkId::from_parameter("lf"), |b| {
         b.iter(|| steal_churn_round::<LfSegment<u64>>(CHURN_OPS))
     });

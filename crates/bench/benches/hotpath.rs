@@ -14,9 +14,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 
 use bench::hotpath::{
-    add_remove_op, batch_roundtrip_op, block_pool_with, bursty_op, magazine_pool_with,
-    per_element_roundtrip_op, pool_with, steal_op, AsyncHandoff, Handoff, BATCH_SIZES,
-    HANDOFF_SETTLE, MAGAZINE_DEPTHS,
+    add_remove_op, batch_roundtrip_op, bursty_op, magazine_pool_with, per_element_roundtrip_op,
+    pool_with, steal_op, AsyncHandoff, Handoff, BATCH_SIZES, HANDOFF_SETTLE, MAGAZINE_DEPTHS,
 };
 use cpool::{DynTiming, NullTiming, WaitStrategy};
 
@@ -38,12 +37,6 @@ fn benches(c: &mut Criterion) {
     let pool = pool_with(2, adapter);
     let mut op = steal_op(&pool);
     c.bench_function("hotpath/steal/dyn", |b| b.iter(&mut op));
-
-    // The block-segment twin of the generic steal: the batch-typed
-    // transfer layer hands the element over in a recycled block + shell.
-    let pool = block_pool_with(2, NullTiming::new());
-    let mut op = steal_op(&pool);
-    c.bench_function("hotpath/steal_block/generic", |b| b.iter(&mut op));
 
     // Producer→blocked-consumer wakeup latency: the settle sleep puts the
     // consumer into its steady idle state (backoff cap / parked) before

@@ -7,8 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use cpool::segment::{AtomicCounter, BlockSegment, LockedCounter, Segment, VecSegment};
-use cpool::transfer::TransferBatch;
+use cpool::segment::{AtomicCounter, LockedCounter, Segment, VecSegment};
 
 fn bench_counting<S: Segment<Item = ()>>(c: &mut Criterion, name: &str) {
     let mut group = c.benchmark_group(format!("ops/{name}"));
@@ -19,7 +18,7 @@ fn bench_counting<S: Segment<Item = ()>>(c: &mut Criterion, name: &str) {
     group.bench_function("remove", |b| {
         let seg = S::new();
         b.iter_batched(
-            || seg.add_bulk(S::Batch::from_vec(vec![(); 1024])),
+            || seg.add_bulk(vec![(); 1024]),
             |()| {
                 for _ in 0..1024 {
                     std::hint::black_box(seg.try_remove());
@@ -55,7 +54,6 @@ fn benches(c: &mut Criterion) {
     bench_counting::<LockedCounter>(c, "locked_counter");
     bench_counting::<AtomicCounter>(c, "atomic_counter");
     bench_element::<VecSegment<u64>>(c, "vec_segment");
-    bench_element::<BlockSegment<u64>>(c, "block_segment");
 }
 
 criterion_group! {

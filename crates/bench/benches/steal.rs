@@ -1,13 +1,12 @@
 //! Microbenchmark: the cost of `steal_half` as a function of victim size.
 //!
-//! For counting segments a steal is O(1) regardless of size; for element
-//! segments the block representation should beat the flat deque at large
-//! sizes (it moves whole blocks instead of draining elements).
+//! For counting segments a steal is O(1) regardless of size (the batch is a
+//! `Vec<()>`, a bare length); for the element deque it drains ⌈n/2⌉
+//! elements into a vector.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 
-use cpool::segment::{BlockSegment, LockedCounter, Segment, VecSegment};
-use cpool::transfer::CountBatch;
+use cpool::segment::{LockedCounter, Segment, VecSegment};
 
 fn bench_steals(c: &mut Criterion) {
     let mut group = c.benchmark_group("steal_half");
@@ -17,7 +16,7 @@ fn bench_steals(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("counting", size), &size, |b, &size| {
             let seg = LockedCounter::new();
             b.iter_batched(
-                || seg.add_bulk(CountBatch::of(size)),
+                || seg.add_bulk(vec![(); size]),
                 |()| std::hint::black_box(seg.steal_half()),
                 BatchSize::SmallInput,
             );
@@ -27,17 +26,6 @@ fn bench_steals(c: &mut Criterion) {
             let seg: VecSegment<u64> = VecSegment::new();
             b.iter_batched(
                 || seg.add_bulk((0..size as u64).collect()),
-                |()| std::hint::black_box(seg.steal_half()),
-                BatchSize::SmallInput,
-            );
-        });
-
-        group.bench_with_input(BenchmarkId::new("block", size), &size, |b, &size| {
-            let seg: BlockSegment<u64> = BlockSegment::with_block_size(64);
-            b.iter_batched(
-                // add_bulk_vec chunks at the segment's own block size;
-                // from_vec would silently rebuild 16-element blocks.
-                || seg.add_bulk_vec((0..size as u64).collect()),
                 |()| std::hint::black_box(seg.steal_half()),
                 BatchSize::SmallInput,
             );

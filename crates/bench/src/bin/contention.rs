@@ -23,8 +23,8 @@
 //!   lock-free structures themselves.
 //! * `pool/<seg>/<mix>/t<threads>x s<segments>` — ns per operation through
 //!   the full add/remove/steal machinery, for every element segment:
-//!   `vec` (mutex deque), `block` (mutex block chain), `lf` (fully
-//!   lock-free), `lane4` (4 sharded lanes over vec deques).
+//!   `vec` (mutex deque), `lf` (fully lock-free), `lane4` (4 sharded
+//!   lanes over vec deques).
 //!
 //! Plus two focused rows: `lane_sweep/k<K>/<mix>/t4s4` (lane-count sweep
 //! at the paper's per-processor shape) and `churn/<seg>/steal_half` (a
@@ -35,12 +35,12 @@
 //! time-sliced interleaving, and a stderr banner says so.
 
 use bench::contention::{
-    bag_round, best_of, pool_round_block, pool_round_lane, pool_round_lane_k, pool_round_lf,
-    pool_round_vec, steal_churn_round, Bag, MutexQueue, LANE_COUNTS, MIXES, THREAD_MATRIX,
+    bag_round, best_of, pool_round_lane, pool_round_lane_k, pool_round_lf, pool_round_vec,
+    steal_churn_round, Bag, MutexQueue, LANE_COUNTS, MIXES, THREAD_MATRIX,
 };
 use bench::host;
 use cpool::transfer::FreeList;
-use cpool::{BlockSegment, LaneSegment, LfSegment, VecSegment};
+use cpool::{LaneSegment, LfSegment, VecSegment};
 use crossbeam_queue::{ArrayQueue, SegQueue, Stack};
 use harness::cli::Args;
 
@@ -78,18 +78,14 @@ fn main() {
     // Pool matrix: threads × segments × workload mix × element segment.
     // The segments axis takes the paper's per-processor shape (segments ==
     // threads) and the worst case (one segment shared by everyone). The
-    // four segment representations are *interleaved* within each cell
-    // config — round-robin across the repeat floors — so all four sample
+    // three segment representations are *interleaved* within each cell
+    // config — round-robin across the repeat floors — so all three sample
     // the same slice of host time; measuring each segment's repeats
     // back-to-back lets background-load drift masquerade as a segment
     // difference.
     type PoolKernel = fn(usize, usize, f64, u64) -> f64;
-    const POOL_KERNELS: [(&str, PoolKernel); 4] = [
-        ("vec", pool_round_vec),
-        ("block", pool_round_block),
-        ("lf", pool_round_lf),
-        ("lane4", pool_round_lane),
-    ];
+    const POOL_KERNELS: [(&str, PoolKernel); 3] =
+        [("vec", pool_round_vec), ("lf", pool_round_lf), ("lane4", pool_round_lane)];
     for &t in &threads {
         for segments in [1, t] {
             if segments == t && t == 1 {
@@ -126,8 +122,6 @@ fn main() {
     let churn_ops = pool_ops;
     let ns = best_of(repeat, || steal_churn_round::<VecSegment<u64>>(churn_ops));
     cell(&mut results, "churn/vec/steal_half".to_string(), ns);
-    let ns = best_of(repeat, || steal_churn_round::<BlockSegment<u64>>(churn_ops));
-    cell(&mut results, "churn/block/steal_half".to_string(), ns);
     let ns = best_of(repeat, || steal_churn_round::<LfSegment<u64>>(churn_ops));
     cell(&mut results, "churn/lf/steal_half".to_string(), ns);
     let ns = best_of(repeat, || steal_churn_round::<LaneSegment<VecSegment<u64>, 4>>(churn_ops));

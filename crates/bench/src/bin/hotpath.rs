@@ -17,11 +17,10 @@ use std::time::Instant;
 
 use bench::host;
 use bench::hotpath::{
-    add_remove_op, async_drive_median_ns, batch_roundtrip_op, block_pool_with, bursty_op,
-    filled_block_segment, filled_vec_segment, lane_pool_with, lf_pool_with, magazine_pool_with,
-    per_element_roundtrip_op, pool_with, steal_op, steal_reserve_op, transfer_elements,
-    transfer_op, AsyncHandoff, Handoff, ASYNC_DRIVE_SIZES, BATCH_SIZES, MAGAZINE_DEPTHS,
-    RESERVE_SIZES, TRANSFER_BLOCK_SIZES, TRANSFER_OCCUPANCIES,
+    add_remove_op, async_drive_median_ns, batch_roundtrip_op, bursty_op, filled_vec_segment,
+    lane_pool_with, lf_pool_with, magazine_pool_with, per_element_roundtrip_op, pool_with,
+    steal_op, steal_reserve_op, transfer_elements, transfer_op, AsyncHandoff, Handoff,
+    ASYNC_DRIVE_SIZES, BATCH_SIZES, MAGAZINE_DEPTHS, RESERVE_SIZES, TRANSFER_OCCUPANCIES,
 };
 use cpool::{DynTiming, NullTiming, WaitStrategy};
 use harness::cli::Args;
@@ -67,13 +66,6 @@ fn main() {
         let pool = pool_with(2, adapter);
         measure(iters, steal_op(&pool))
     };
-    // The same single-element steal over block segments: the batch-typed
-    // transfer layer hands the lone element over in a recycled shell, so
-    // the whole search+steal round trip is allocation-free.
-    let block_steal = {
-        let pool = block_pool_with(2, NullTiming::new());
-        measure(iters, steal_op(&pool))
-    };
     // The same two hot paths over the new segment internals: the fully
     // lock-free segment (CAS-reserved occupancy over a lock-free queue)
     // and the sharded-lane segment (4 affinity-routed mutex lanes).
@@ -102,7 +94,6 @@ fn main() {
         ("add_remove/dyn".to_string(), dyn_add),
         ("steal/generic".to_string(), generic_steal),
         ("steal/dyn".to_string(), dyn_steal),
-        ("steal_block/generic".to_string(), block_steal),
         ("add_remove_lf/generic".to_string(), lf_add),
         ("steal_lf/generic".to_string(), lf_steal),
         ("add_remove_lane4/generic".to_string(), lane_add),
@@ -150,41 +141,27 @@ fn main() {
 
     // Reserve-building steals (the paper's actual protocol shape: one
     // search + two-phase transfer moves half a segment and banks a
-    // reserve), ns per element through the pool — the number that shows
-    // what the batch-typed transfer layer buys at the pool level.
+    // reserve), ns per element through the pool.
     for reserve in RESERVE_SIZES {
         let per_iter = (iters / reserve as u64).clamp(1_000, 200_000);
-        let vec_ns = {
+        let ns = {
             let pool = pool_with(2, NullTiming::new());
             measure(per_iter, steal_reserve_op(&pool, reserve)) / reserve as f64
         };
-        let block_ns = {
-            let pool = block_pool_with(2, NullTiming::new());
-            measure(per_iter, steal_reserve_op(&pool, reserve)) / reserve as f64
-        };
-        results.push((format!("steal_reserve/vec/{reserve}"), vec_ns));
-        results.push((format!("steal_reserve/block/{reserve}"), block_ns));
+        results.push((format!("steal_reserve/vec/{reserve}"), ns));
     }
 
-    // The steal→refill transfer itself (drain ⌈n/2⌉ + deposit), isolated
-    // from the search, occupancy × block size: block segments move whole
-    // block handles through the batch-typed layer, the vec baseline moves
-    // every element. ns per element moved, so all cells compare directly.
+    // The steal→refill transfer itself (drain ⌈n/2⌉ + deposit through a
+    // recycled vector shell), isolated from the search. ns per element
+    // moved, so all occupancies compare directly.
     for occ in TRANSFER_OCCUPANCIES {
         let moved = transfer_elements(occ) as f64;
         let per_iter = (iters / moved.max(1.0) as u64).clamp(1_000, 200_000);
-        let vec_ns = {
+        let ns = {
             let seg = filled_vec_segment(occ);
             measure(per_iter, transfer_op(&seg)) / moved
         };
-        results.push((format!("transfer/vec/{occ}"), vec_ns));
-        for bs in TRANSFER_BLOCK_SIZES {
-            let block_ns = {
-                let seg = filled_block_segment(occ, bs);
-                measure(per_iter, transfer_op(&seg)) / moved
-            };
-            results.push((format!("transfer/block{bs}/{occ}"), block_ns));
-        }
+        results.push((format!("transfer/vec/{occ}"), ns));
     }
 
     // Producer→blocked-consumer wakeup latency: Park (sleep backoff — an

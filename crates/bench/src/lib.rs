@@ -41,16 +41,12 @@ pub mod hotpath {
 
     use cpool::future::exec::{block_on, Fleet};
     use cpool::{
-        BlockSegment, Handle, LaneSegment, LfSegment, LinearSearch, Pool, PoolBuilder, PoolOps,
-        RemoveError, Segment, Timing, VecSegment, WaitStrategy,
+        Handle, LaneSegment, LfSegment, LinearSearch, Pool, PoolBuilder, PoolOps, RemoveError,
+        Segment, Timing, VecSegment, WaitStrategy,
     };
 
     /// The pool configuration both hot-path benchmarks measure.
     pub type HotPool<T> = Pool<VecSegment<u64>, LinearSearch, T>;
-
-    /// The block-organized twin: same protocol, transfers move whole block
-    /// handles through the batch-typed layer instead of flat vectors.
-    pub type BlockHotPool<T> = Pool<BlockSegment<u64>, LinearSearch, T>;
 
     /// Batch sizes the batched-vs-per-element comparison sweeps.
     pub const BATCH_SIZES: [usize; 3] = [1, 8, 64];
@@ -59,16 +55,8 @@ pub mod hotpath {
     /// the victim when the steal fires; the transfer moves ⌈n/2⌉).
     pub const TRANSFER_OCCUPANCIES: [usize; 3] = [64, 1024, 8192];
 
-    /// Block sizes the steal-transfer sweep crosses with each occupancy.
-    pub const TRANSFER_BLOCK_SIZES: [usize; 3] = [16, 64, 256];
-
     /// Builds the measured pool over the given cost model.
     pub fn pool_with<T: Timing>(segments: usize, timing: T) -> HotPool<T> {
-        PoolBuilder::new(segments).seed(1).timing(timing).build()
-    }
-
-    /// Builds the block-segment twin of [`pool_with`].
-    pub fn block_pool_with<T: Timing>(segments: usize, timing: T) -> BlockHotPool<T> {
         PoolBuilder::new(segments).seed(1).timing(timing).build()
     }
 
@@ -166,8 +154,7 @@ pub mod hotpath {
     /// where a steal moves half a segment and banks a reserve — amortized
     /// per element. Each iteration: the victim deposits `reserve` elements
     /// in one batch; the thief's batched remove runs **one** search +
-    /// two-phase steal (⌈reserve/2⌉ elements through the typed transfer
-    /// layer: one kept, the rest refilled into the thief's segment) and
+    /// two-phase steal (⌈reserve/2⌉ elements in one vector: one kept, the rest refilled into the thief's segment) and
     /// serves the remainder of its batch from that refilled reserve; the
     /// victim then drains its own residue. `reserve` elements flow through
     /// the pool per iteration — normalize ns by that count. Build the pool
@@ -196,12 +183,10 @@ pub mod hotpath {
     }
 
     /// One steal→refill transfer hop at a pinned occupancy: `steal_half`
-    /// drains ⌈occupancy/2⌉ elements into the segment family's batch
-    /// currency and `add_bulk` deposits them straight back, restoring the
-    /// occupancy exactly — the two phases every successful probe pays,
-    /// isolated from the search. For a block segment this moves block
-    /// handles (and recycles the batch shell); for a vec segment it moves
-    /// the elements through a recycled vector.
+    /// drains ⌈occupancy/2⌉ elements into a vector and `add_bulk`
+    /// deposits them straight back, restoring the occupancy exactly — the
+    /// two phases every successful probe pays, isolated from the search.
+    /// For a vec segment the vector is a recycled shell.
     ///
     /// Normalize by [`transfer_elements`] to report ns per element moved.
     pub fn transfer_op<S: Segment<Item = u64>>(seg: &S) -> impl FnMut() + '_ {
@@ -216,16 +201,7 @@ pub mod hotpath {
         cpool::segment::steal_count(occupancy)
     }
 
-    /// A block segment pre-filled to `occupancy` with the given block size.
-    pub fn filled_block_segment(occupancy: usize, block_size: usize) -> BlockSegment<u64> {
-        let seg = BlockSegment::with_block_size(block_size);
-        for i in 0..occupancy as u64 {
-            seg.add(i);
-        }
-        seg
-    }
-
-    /// A vec segment pre-filled to `occupancy` (the flat-transfer baseline).
+    /// A vec segment pre-filled to `occupancy`.
     pub fn filled_vec_segment(occupancy: usize) -> VecSegment<u64> {
         let seg = VecSegment::new();
         for i in 0..occupancy as u64 {
@@ -470,7 +446,7 @@ pub mod hotpath {
 ///   [`SegQueue`](crossbeam_queue::SegQueue),
 ///   [`ArrayQueue`](crossbeam_queue::ArrayQueue)).
 /// * **Pool matrix** — the whole add/remove/steal machinery, threads ×
-///   segments × workload mix × vec/block segment representation.
+///   segments × workload mix × segment representation (vec, lf, lane).
 pub mod contention {
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -478,10 +454,7 @@ pub mod contention {
     use std::time::Instant;
 
     use cpool::transfer::FreeList;
-    use cpool::{
-        BlockSegment, LaneSegment, LfSegment, LinearSearch, Pool, PoolBuilder, Segment,
-        TransferBatch, VecSegment,
-    };
+    use cpool::{LaneSegment, LfSegment, LinearSearch, Pool, PoolBuilder, Segment, VecSegment};
     use crossbeam_queue::{ArrayQueue, SegQueue, Stack};
     use parking_lot::Mutex;
     use rand::rngs::SmallRng;
@@ -679,11 +652,6 @@ pub mod contention {
     /// The pool matrix's vec-segment cell.
     pub fn pool_round_vec(threads: usize, segments: usize, add_fraction: f64, ops: u64) -> f64 {
         pool_round::<VecSegment<u64>>(threads, segments, add_fraction, ops)
-    }
-
-    /// The pool matrix's block-segment cell.
-    pub fn pool_round_block(threads: usize, segments: usize, add_fraction: f64, ops: u64) -> f64 {
-        pool_round::<BlockSegment<u64>>(threads, segments, add_fraction, ops)
     }
 
     /// The pool matrix's fully lock-free segment cell.

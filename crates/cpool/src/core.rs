@@ -46,7 +46,6 @@ use crate::notify::{Notifier, WaitOutcome};
 use crate::ops::WaitStrategy;
 use crate::stats::{PoolStats, ProcStats};
 use crate::timing::{Resource, Timing};
-use crate::transfer::TransferBatch;
 
 /// Process registration and statistics collection, shared by all pool
 /// frontends.
@@ -408,32 +407,27 @@ impl<'a, T: Timing> SearchSession<'a, T> {
     /// are ever held at once.
     ///
     /// When the lone drained element already satisfied the remove, the
-    /// now-empty batch is **still** handed to `refill` — as a pure
+    /// now-empty vector is **still** handed to `refill` — as a pure
     /// container return, with no home-segment charge and no wakeup. The
-    /// in-tree segments only recycle the batch's containers on this path
-    /// (the transfer shell into the pool's free list, a spent block into
-    /// the home segment's spare stash); without this return leg the
-    /// single-element steal would leak its containers to the allocator on
-    /// every probe.
+    /// element segments only return the vector's shell to the pool's free
+    /// list on this path; without this return leg a steal that drew a
+    /// recycled shell would leak it to the allocator.
     ///
-    /// The transfer is generic over the segment family's
-    /// [`TransferBatch`] currency — a [`BlockSegment`](crate::BlockSegment)
-    /// pool moves whole block handles through here without flattening, a
-    /// counting pool moves a bare count — and the engine only ever opens
-    /// the batch for the single element it keeps.
+    /// The batch is a plain `Vec` — a counting pool's `Vec<()>` is a bare
+    /// length — and the engine only ever pops the single element it keeps.
     ///
     /// Returns the kept element and the total number stolen, or `None` if
     /// the victim was empty.
-    pub fn probe<B: TransferBatch>(
+    pub fn probe<I>(
         &mut self,
         victim: SegIdx,
-        drain: impl FnOnce() -> B,
-        refill: impl FnOnce(B),
-    ) -> Option<(B::Item, usize)> {
+        drain: impl FnOnce() -> Vec<I>,
+        refill: impl FnOnce(Vec<I>),
+    ) -> Option<(I, usize)> {
         self.examined += 1;
         self.timing.charge(self.me, Resource::Segment(victim));
         let mut batch = drain();
-        let item = batch.take_one()?;
+        let item = batch.pop()?;
         let stolen = batch.len() + 1;
         if batch.is_empty() {
             // Container return only: no elements move, so no charge and no

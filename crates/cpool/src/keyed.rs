@@ -2081,7 +2081,6 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
 /// generic consumers.
 impl<K: Key, V: Send + 'static, T: Timing> PoolOps for KeyedHandle<K, V, T> {
     type Item = (K, V);
-    type Batch = Vec<(K, V)>;
     type RemoveFuture = crate::future::KeyedRemoveFuture<K, V, T>;
 
     fn add(&mut self, (key, value): (K, V)) {
@@ -2147,7 +2146,7 @@ impl<K: Key, V: Send + 'static, T: Timing> PoolOps for KeyedHandle<K, V, T> {
         timer.finish_add_batch(&mut self.stats, n, 0);
     }
 
-    fn try_remove_batch(&mut self, n: usize) -> SmallDrain<Vec<(K, V)>> {
+    fn try_remove_batch(&mut self, n: usize) -> SmallDrain<(K, V)> {
         if n == 0 {
             return SmallDrain::new(Vec::new());
         }
@@ -2175,7 +2174,7 @@ impl<K: Key, V: Send + 'static, T: Timing> PoolOps for KeyedHandle<K, V, T> {
         SmallDrain::new(got)
     }
 
-    fn drain(&mut self) -> SmallDrain<Vec<(K, V)>> {
+    fn drain(&mut self) -> SmallDrain<(K, V)> {
         let timer = OpTimer::start(&self.shared.timing, self.me, 0);
         let mut all = Vec::new();
         // Own magazines first, then the depot (banking the gauge down only

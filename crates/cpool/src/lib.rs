@@ -21,14 +21,13 @@
 //! Segments come in two families: *counting* segments ([`segment::LockedCounter`],
 //! [`segment::AtomicCounter`]) that store only a count (the paper's
 //! measurement simplification), and *element* segments
-//! ([`segment::VecSegment`], [`segment::BlockSegment`]) that store real
+//! ([`segment::VecSegment`], [`segment::LfSegment`]) that store real
 //! values for applications such as task scheduling. Batch transfers —
-//! steals, refills, batched removes — are typed over each family's native
-//! currency ([`transfer::TransferBatch`]): the block segment hands whole
-//! block *handles* across the steal protocol (O(n/B) pointer moves, no
-//! flattening) and the counting segments a bare count, with containers
-//! recycled through per-pool free lists so the steady-state steal path
-//! performs zero allocations — see [`transfer`].
+//! steals, refills, batched removes — move a plain `Vec` of elements (a
+//! counting segment's `Vec<()>` is a bare length that never allocates),
+//! and the element segments recycle the vectors' buffers through per-pool
+//! free lists so the steady-state steal path performs zero allocations —
+//! see [`transfer`].
 //!
 //! Every shared-memory access the paper charges for (segment probes, tree
 //! node visits) is reported through the [`timing::Timing`] trait so the same
@@ -130,14 +129,11 @@ pub use search::{
     DynPolicy, LinearSearch, NodeStoreKind, PolicyKind, RandomSearch, SearchEnv, SearchOutcome,
     SearchPolicy, TreeSearch,
 };
-pub use segment::{
-    AtomicCounter, BlockBatch, BlockSegment, LaneSegment, LfSegment, LockedCounter, Segment,
-    VecSegment,
-};
+pub use segment::{AtomicCounter, LaneSegment, LfSegment, LockedCounter, Segment, VecSegment};
 pub use stats::{Histogram, PoolCounters, PoolStats, ProcStats};
 pub use timing::{DynTiming, NullTiming, Resource, Timing};
 pub use trace::{TraceEvent, TraceKind, TraceRecorder};
-pub use transfer::{CountBatch, FreeList, TransferBatch};
+pub use transfer::FreeList;
 
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {
@@ -154,8 +150,7 @@ pub mod prelude {
         DynPolicy, LinearSearch, NodeStoreKind, PolicyKind, RandomSearch, TreeSearch,
     };
     pub use crate::segment::{
-        AtomicCounter, BlockSegment, LaneSegment, LfSegment, LockedCounter, Segment, VecSegment,
+        AtomicCounter, LaneSegment, LfSegment, LockedCounter, Segment, VecSegment,
     };
     pub use crate::timing::{DynTiming, NullTiming, Resource, Timing};
-    pub use crate::transfer::{CountBatch, TransferBatch};
 }

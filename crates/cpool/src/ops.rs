@@ -30,11 +30,8 @@
 //!   [`drain`](PoolOps::drain) take the segment lock **once per batch**
 //!   instead of once per element, and charge the cost model accordingly
 //!   (one probe per batch plus the per-element transfer). Batched removes
-//!   return a [`SmallDrain`] over the frontend's
-//!   [`TransferBatch`] currency ([`PoolOps::Batch`]) — elements drained
-//!   from a block pool stay in their blocks until the consumer pops them,
-//!   and the spent containers recycle into the pool's free lists
-//!   (see [`transfer`](crate::transfer)).
+//!   return a [`SmallDrain`] that owns the drained `Vec` and hands its
+//!   elements out one by one.
 //!
 //! # Example
 //!
@@ -68,7 +65,6 @@ use std::iter::FusedIterator;
 use std::time::{Duration, Instant};
 
 use crate::error::RemoveError;
-use crate::transfer::TransferBatch;
 
 /// How a blocking [`remove`](PoolOps::remove) waits after each **fruitless
 /// search lap** (one full round over the victim segments with nothing
@@ -172,11 +168,9 @@ impl fmt::Display for WaitStrategy {
 /// [`try_remove_batch`](PoolOps::try_remove_batch) or
 /// [`drain`](PoolOps::drain).
 ///
-/// The drain iterates directly over the frontend's [`TransferBatch`]
-/// currency ([`PoolOps::Batch`]) — elements drained from a
-/// [`BlockSegment`](crate::BlockSegment) pool stay in their blocks until
-/// this iterator pops them; no intermediate vector is built. Iterating
-/// yields the elements in an unspecified order (the pool is an unordered
+/// The drain owns the vector the segments filled and pops elements off its
+/// back; no second vector is built. Iterating yields the elements in an
+/// unspecified order (the pool is an unordered
 /// collection). Dropping the drain without consuming it drops the
 /// elements — they have already left the pool — hence the `#[must_use]`.
 ///
@@ -192,13 +186,13 @@ impl fmt::Display for WaitStrategy {
 /// assert_eq!(pool.total_len(), 1);
 /// ```
 #[must_use = "the elements have already left the pool and are dropped if unused"]
-pub struct SmallDrain<B: TransferBatch> {
-    inner: B,
+pub struct SmallDrain<T> {
+    inner: Vec<T>,
 }
 
-impl<B: TransferBatch> SmallDrain<B> {
+impl<T> SmallDrain<T> {
     /// Wraps a drained batch (crate-internal: only pools mint drains).
-    pub(crate) fn new(batch: B) -> Self {
+    pub(crate) fn new(batch: Vec<T>) -> Self {
         SmallDrain { inner: batch }
     }
 
@@ -213,22 +207,22 @@ impl<B: TransferBatch> SmallDrain<B> {
     }
 
     /// Converts the remaining elements into a plain vector.
-    pub fn into_vec(self) -> Vec<B::Item> {
-        self.inner.into_vec()
+    pub fn into_vec(self) -> Vec<T> {
+        self.inner
     }
 }
 
-impl<B: TransferBatch> fmt::Debug for SmallDrain<B> {
+impl<T> fmt::Debug for SmallDrain<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SmallDrain").field("remaining", &self.inner.len()).finish()
     }
 }
 
-impl<B: TransferBatch> Iterator for SmallDrain<B> {
-    type Item = B::Item;
+impl<T> Iterator for SmallDrain<T> {
+    type Item = T;
 
-    fn next(&mut self) -> Option<B::Item> {
-        self.inner.take_one()
+    fn next(&mut self) -> Option<T> {
+        self.inner.pop()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -236,8 +230,8 @@ impl<B: TransferBatch> Iterator for SmallDrain<B> {
     }
 }
 
-impl<B: TransferBatch> ExactSizeIterator for SmallDrain<B> {}
-impl<B: TransferBatch> FusedIterator for SmallDrain<B> {}
+impl<T> ExactSizeIterator for SmallDrain<T> {}
+impl<T> FusedIterator for SmallDrain<T> {}
 
 /// The common handle contract of every pool frontend.
 ///
@@ -254,12 +248,6 @@ pub trait PoolOps {
     /// The element type this pool stores. For keyed pools this is the
     /// `(key, value)` pair.
     type Item;
-
-    /// The [`TransferBatch`] currency batched removes return: the segment
-    /// family's batch type for [`Handle`](crate::Handle) (so a block pool's
-    /// drains stay block-organized end to end), a plain vector of pairs for
-    /// [`KeyedHandle`](crate::KeyedHandle).
-    type Batch: TransferBatch<Item = Self::Item>;
 
     /// The future [`remove_async`](Self::remove_async) returns:
     /// [`RemoveFuture`](crate::RemoveFuture) for [`Handle`](crate::Handle),
@@ -416,14 +404,14 @@ pub trait PoolOps {
     /// result up locally. The returned drain holds between `0` and `n`
     /// elements — fewer than `n` (or none) when the pool ran dry or the
     /// search aborted.
-    fn try_remove_batch(&mut self, n: usize) -> SmallDrain<Self::Batch>;
+    fn try_remove_batch(&mut self, n: usize) -> SmallDrain<Self::Item>;
 
     /// Removes every element currently reachable, visiting each segment
     /// once (one lock acquisition per segment, no search).
     ///
     /// This is a snapshot drain: elements added concurrently while the
     /// sweep is in flight may or may not be included.
-    fn drain(&mut self) -> SmallDrain<Self::Batch>;
+    fn drain(&mut self) -> SmallDrain<Self::Item>;
 }
 
 #[cfg(test)]
@@ -465,9 +453,8 @@ mod tests {
     }
 
     #[test]
-    fn small_drain_iterates_block_batches_without_flattening() {
-        use crate::segment::BlockBatch;
-        let drain = SmallDrain::new(BlockBatch::from_vec((0..40u32).collect()));
+    fn small_drain_iterates_a_multi_element_batch() {
+        let drain = SmallDrain::new((0..40u32).collect());
         assert_eq!(drain.len(), 40);
         let mut got: Vec<u32> = drain.collect();
         got.sort_unstable();

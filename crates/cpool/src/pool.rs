@@ -52,7 +52,6 @@ use crate::segment::Segment;
 use crate::stats::{PoolStats, ProcStats};
 use crate::timing::{NullTiming, Resource, Timing};
 use crate::trace::{TraceEvent, TraceKind, TraceRecorder};
-use crate::transfer::TransferBatch;
 
 /// Configures and builds a [`Pool`].
 ///
@@ -304,8 +303,8 @@ impl<S: Segment, T: Timing> PoolBuilder<S, T> {
     #[must_use]
     pub fn build_with_policy<P: SearchPolicy>(self, policy: P) -> Pool<S, P, T> {
         // Segments are built as one family so representations with pooled
-        // resources (the block segment's block cache, the vec segment's
-        // shell cache) share them across the pool.
+        // resources (the element segments' shell cache) share them across
+        // the pool.
         let segments: Box<[S]> = S::new_family(self.segments).into();
         let trace = self
             .record_trace
@@ -416,7 +415,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
                     // stay pool-visible, then retire them from the gauge.
                     let n = rest.len();
                     self.timing.charge(me, Resource::Segment(home));
-                    self.segments[home.index()].add_bulk_vec(rest);
+                    self.segments[home.index()].add_bulk(rest);
                     self.registry.notifier().notify_all();
                     depot.unstash(n);
                 }
@@ -784,7 +783,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
         let items = mag.take_all();
         drop(mag);
         self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-        self.shared.segments[self.seg.index()].add_bulk_vec(items);
+        self.shared.segments[self.seg.index()].add_bulk(items);
         self.shared.registry.notifier().notify_all();
         self.record_trace(self.seg, TraceKind::Add);
     }
@@ -825,7 +824,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
                     let items = mag.take_all();
                     drop(mag);
                     self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-                    self.shared.segments[self.seg.index()].add_bulk_vec(items);
+                    self.shared.segments[self.seg.index()].add_bulk(items);
                     self.stats.flush_on_wait += 1;
                 }
             } else {
@@ -1027,7 +1026,6 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
 /// charged one probe per batch plus the per-element transfer work.
 impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
     type Item = S::Item;
-    type Batch = S::Batch;
     type RemoveFuture = RemoveFuture<S, P, T>;
 
     fn add(&mut self, item: S::Item) {
@@ -1115,11 +1113,8 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
         if !batch.is_empty() {
             // One probe charge and one lock acquisition for the whole
             // batch — this is the amortization the batch API exists for.
-            // The segment converts the vector to its native transfer
-            // currency itself (block segments chunk it straight into
-            // recycled blocks under the same lock).
             self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-            self.shared.segments[self.seg.index()].add_bulk_vec(batch);
+            self.shared.segments[self.seg.index()].add_bulk(batch);
             self.record_trace(self.seg, TraceKind::Add);
         }
         // One wakeup per batch (covering mailbox donations too): the
@@ -1129,9 +1124,9 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
         timer.finish_add_batch(&mut self.stats, n, donated);
     }
 
-    fn try_remove_batch(&mut self, n: usize) -> SmallDrain<S::Batch> {
+    fn try_remove_batch(&mut self, n: usize) -> SmallDrain<S::Item> {
         if n == 0 {
-            return SmallDrain::new(S::Batch::empty());
+            return SmallDrain::new(Vec::new());
         }
         let timer = OpTimer::start(&self.shared.timing, self.me, self.shared.remove_overhead_ns);
         self.shared.timing.charge(self.me, Resource::Segment(self.seg));
@@ -1151,42 +1146,37 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
             if n > 1 {
                 let top_up = OpTimer::start(&self.shared.timing, self.me, 0);
                 self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-                let extra = self.shared.segments[self.seg.index()].remove_up_to(n - 1);
-                top_up.finish_remove_batch(&mut self.stats, extra.len());
-                got.append(extra);
+                got = self.shared.segments[self.seg.index()].remove_up_to(n - 1);
+                top_up.finish_remove_batch(&mut self.stats, got.len());
             }
-            // After the append, so the element rides the batch's existing
-            // containers instead of minting a fresh one.
-            got.put_one(first);
+            // After the top-up, so the element rides its vector instead of
+            // minting a fresh one.
+            got.push(first);
         }
         SmallDrain::new(got)
     }
 
-    fn drain(&mut self) -> SmallDrain<S::Batch> {
+    fn drain(&mut self) -> SmallDrain<S::Item> {
         let timer = OpTimer::start(&self.shared.timing, self.me, self.shared.remove_overhead_ns);
-        let mut all = S::Batch::empty();
+        let mut all = Vec::new();
         // Sweep this handle's own magazines and every depot magazine along
         // with the segments: drain is the "give me everything" lifecycle
         // op, so the cached layers are part of "everything". Other
         // handles' caches remain theirs.
         if let Some(mag) = &mut self.magazine {
-            for item in mag.get_mut().take_all() {
-                all.put_one(item);
-            }
+            all.append(&mut mag.get_mut().take_all());
         }
         if let Some(depot) = &self.shared.depot {
             while let Some(mut mag) = depot.take_full() {
                 let n = mag.len();
-                for item in mag.drain(..) {
-                    all.put_one(item);
-                }
+                all.append(&mut mag);
                 depot.put_shell(mag);
                 depot.unstash(n);
             }
         }
         for (i, seg) in self.shared.segments.iter().enumerate() {
             self.shared.timing.charge(self.me, Resource::Segment(SegIdx::new(i)));
-            all.append(seg.drain_all());
+            all.append(&mut seg.drain_all());
         }
         timer.finish_remove_batch(&mut self.stats, all.len());
         SmallDrain::new(all)
@@ -1249,7 +1239,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> SearchEnv for PoolSearchEnv<'_, '_,
                 // snapshot, exactly like the length read `steal_half` would
                 // have made under the lock a few instructions later.
                 if seg.is_empty() {
-                    S::Batch::empty()
+                    Vec::new()
                 } else {
                     seg.steal_half()
                 }

@@ -12,16 +12,15 @@
 //! * [`LockedCounter`] — a mutex-protected count, mirroring the paper.
 //! * [`AtomicCounter`] — a lock-free CAS loop.
 //!
-//! Both transfer in [`CountBatch`] currency — a bare count, one machine
-//! word — so the unified batch-typed steal interface costs the counter
-//! representation nothing.
+//! Both transfer `Vec<()>` batches. A vector of zero-sized elements is a
+//! bare length that never touches the heap, so the shared `Vec` transfer
+//! interface costs the counter representation one machine word.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
 use super::{steal_count, Segment};
-use crate::transfer::{CountBatch, TransferBatch};
 
 /// Mutex-protected element count (the paper's segment representation).
 ///
@@ -33,7 +32,6 @@ use crate::transfer::{CountBatch, TransferBatch};
 ///
 /// ```
 /// use cpool::segment::{LockedCounter, Segment};
-/// use cpool::transfer::TransferBatch;
 /// let seg = LockedCounter::new();
 /// seg.add(());
 /// seg.add(());
@@ -59,7 +57,6 @@ impl LockedCounter {
 
 impl Segment for LockedCounter {
     type Item = ();
-    type Batch = CountBatch;
 
     fn new() -> Self {
         LockedCounter::default()
@@ -86,15 +83,15 @@ impl Segment for LockedCounter {
         self.mirror.load(Ordering::Acquire)
     }
 
-    fn steal_half(&self) -> CountBatch {
+    fn steal_half(&self) -> Vec<()> {
         let mut count = self.count.lock();
         let taken = steal_count(*count);
         *count -= taken;
         self.publish(*count);
-        CountBatch::of(taken)
+        vec![(); taken]
     }
 
-    fn add_bulk(&self, batch: CountBatch) {
+    fn add_bulk(&self, batch: Vec<()>) {
         // Guard the empty case: the probe's container-return leg must not
         // acquire the (uncharged) segment lock.
         if !batch.is_empty() {
@@ -104,19 +101,19 @@ impl Segment for LockedCounter {
         }
     }
 
-    fn remove_up_to(&self, n: usize) -> CountBatch {
+    fn remove_up_to(&self, n: usize) -> Vec<()> {
         let mut count = self.count.lock();
         let taken = n.min(*count);
         *count -= taken;
         self.publish(*count);
-        CountBatch::of(taken)
+        vec![(); taken]
     }
 
-    fn drain_all(&self) -> CountBatch {
+    fn drain_all(&self) -> Vec<()> {
         let mut count = self.count.lock();
         let taken = std::mem::take(&mut *count);
         self.publish(*count);
-        CountBatch::of(taken)
+        vec![(); taken]
     }
 }
 
@@ -127,9 +124,8 @@ impl Segment for LockedCounter {
 ///
 /// ```
 /// use cpool::segment::{AtomicCounter, Segment};
-/// use cpool::transfer::{CountBatch, TransferBatch};
 /// let seg = AtomicCounter::new();
-/// seg.add_bulk(CountBatch::of(5));
+/// seg.add_bulk(vec![(); 5]);
 /// assert_eq!(seg.len(), 5);
 /// assert!(seg.try_remove().is_some());
 /// assert_eq!(seg.steal_half().len(), 2); // ceil(4/2)
@@ -141,7 +137,6 @@ pub struct AtomicCounter {
 
 impl Segment for AtomicCounter {
     type Item = ();
-    type Batch = CountBatch;
 
     fn new() -> Self {
         AtomicCounter { count: AtomicUsize::new(0) }
@@ -173,12 +168,12 @@ impl Segment for AtomicCounter {
         self.count.load(Ordering::Acquire)
     }
 
-    fn steal_half(&self) -> CountBatch {
+    fn steal_half(&self) -> Vec<()> {
         let mut current = self.count.load(Ordering::Acquire);
         loop {
             let taken = steal_count(current);
             if taken == 0 {
-                return CountBatch::of(0);
+                return Vec::new();
             }
             match self.count.compare_exchange_weak(
                 current,
@@ -186,24 +181,24 @@ impl Segment for AtomicCounter {
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => return CountBatch::of(taken),
+                Ok(_) => return vec![(); taken],
                 Err(actual) => current = actual,
             }
         }
     }
 
-    fn add_bulk(&self, batch: CountBatch) {
+    fn add_bulk(&self, batch: Vec<()>) {
         if !batch.is_empty() {
             self.count.fetch_add(batch.len(), Ordering::AcqRel);
         }
     }
 
-    fn remove_up_to(&self, n: usize) -> CountBatch {
+    fn remove_up_to(&self, n: usize) -> Vec<()> {
         let mut current = self.count.load(Ordering::Acquire);
         loop {
             let taken = n.min(current);
             if taken == 0 {
-                return CountBatch::of(0);
+                return Vec::new();
             }
             match self.count.compare_exchange_weak(
                 current,
@@ -211,14 +206,14 @@ impl Segment for AtomicCounter {
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => return CountBatch::of(taken),
+                Ok(_) => return vec![(); taken],
                 Err(actual) => current = actual,
             }
         }
     }
 
-    fn drain_all(&self) -> CountBatch {
-        CountBatch::of(self.count.swap(0, Ordering::AcqRel))
+    fn drain_all(&self) -> Vec<()> {
+        vec![(); self.count.swap(0, Ordering::AcqRel)]
     }
 }
 
@@ -299,7 +294,7 @@ mod tests {
         // Repeated halving of 20 elements: 10, 5, 3, 1, 1 (sizes after each
         // steal: 10, 5, 2, 1, 0).
         let seg = LockedCounter::new();
-        seg.add_bulk(CountBatch::of(20));
+        seg.add_bulk(vec![(); 20]);
         let takes: Vec<usize> = std::iter::from_fn(|| {
             let batch = seg.steal_half();
             if batch.is_empty() {
@@ -315,11 +310,16 @@ mod tests {
 
     #[test]
     fn count_batches_never_touch_the_heap() {
-        // A CountBatch is one machine word however many elements it stands
-        // for — this is what makes the batch-typed steal interface free for
-        // the counter representation.
-        assert_eq!(std::mem::size_of::<CountBatch>(), std::mem::size_of::<usize>());
-        let batch = CountBatch::of(1_000_000);
+        // A `Vec<()>` is a bare length however many elements it stands for:
+        // the capacity is unbounded from the start, so filling, appending
+        // and splitting never reach the allocator.
+        let seg = AtomicCounter::new();
+        seg.add_bulk(vec![(); 1_000_000]);
+        let mut batch = seg.steal_half();
+        assert_eq!(batch.len(), 500_000);
+        assert_eq!(batch.capacity(), usize::MAX);
+        batch.append(&mut seg.drain_all());
         assert_eq!(batch.len(), 1_000_000);
+        assert!(seg.is_empty());
     }
 }

@@ -5,7 +5,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use super::{steal_count, Segment};
-use crate::transfer::TransferBatch;
 
 /// Source of fresh thread-affinity hints: each thread draws one, once.
 static NEXT_HOME: AtomicUsize = AtomicUsize::new(0);
@@ -147,7 +146,7 @@ impl<S: Segment, const K: usize> LaneSegment<S, K> {
     /// Sweeps lanes appending into `out` until `target` elements were
     /// gathered; `contended` selects the fallback pass that no longer
     /// skips busy lanes.
-    fn sweep_into(&self, target: usize, out: &mut S::Batch, contended: bool) {
+    fn sweep_into(&self, target: usize, out: &mut Vec<S::Item>, contended: bool) {
         let home = self.home();
         for i in 0..K {
             if out.len() >= target {
@@ -170,9 +169,6 @@ impl<S: Segment, const K: usize> LaneSegment<S, K> {
 
 impl<S: Segment, const K: usize> Segment for LaneSegment<S, K> {
     type Item = S::Item;
-    /// Transfers stay in the inner segment's native currency: a steal from
-    /// a lane-over-block segment still moves whole blocks.
-    type Batch = S::Batch;
 
     fn new() -> Self {
         // A lone segment's lanes still share pooled resources with each
@@ -181,8 +177,8 @@ impl<S: Segment, const K: usize> Segment for LaneSegment<S, K> {
     }
 
     /// One inner family spans the whole pool — `count × K` inner segments
-    /// sharing one set of free lists — so a shell or block recycled by any
-    /// lane of any segment refills any other.
+    /// sharing one set of free lists — so a shell recycled by any lane of
+    /// any segment carries the next transfer of any other.
     fn new_family(count: usize) -> Vec<Self> {
         assert!(K > 0, "LaneSegment requires at least one lane");
         let mut inner = S::new_family(count.max(1) * K).into_iter();
@@ -231,10 +227,10 @@ impl<S: Segment, const K: usize> Segment for LaneSegment<S, K> {
         self.lanes.iter().map(|lane| lane.seg.len()).sum()
     }
 
-    fn steal_half(&self) -> S::Batch {
+    fn steal_half(&self) -> Vec<S::Item> {
         let target = steal_count(self.len());
         if target == 0 {
-            return S::Batch::empty();
+            return Vec::new();
         }
         let mut out = self.lanes[0].seg.batch_shell();
         self.sweep_into(target, &mut out, false);
@@ -244,27 +240,19 @@ impl<S: Segment, const K: usize> Segment for LaneSegment<S, K> {
         out
     }
 
-    fn add_bulk(&self, batch: S::Batch) {
+    fn add_bulk(&self, batch: Vec<S::Item>) {
         // The whole batch lands in one lane so the deposit is a single
-        // native-currency splice (and the container recycles through the
-        // inner segment's cache as usual).
+        // inner `add_bulk` (and the shell recycles through the inner
+        // segment's cache as usual).
         let idx = self.enter_lane();
         self.lanes[idx].seg.add_bulk(batch);
         self.lanes[idx].exit();
     }
 
-    fn add_bulk_vec(&self, items: Vec<S::Item>) {
-        // Delegate so inner representations keep their override (the block
-        // segment chunks the elements straight into recycled blocks).
-        let idx = self.enter_lane();
-        self.lanes[idx].seg.add_bulk_vec(items);
-        self.lanes[idx].exit();
-    }
-
-    fn remove_up_to(&self, n: usize) -> S::Batch {
+    fn remove_up_to(&self, n: usize) -> Vec<S::Item> {
         // The result leaves the pool with the caller, so start from a
-        // plain container, not a cached shell.
-        let mut out = S::Batch::empty();
+        // plain vector, not a cached shell.
+        let mut out = Vec::new();
         self.sweep_into(n, &mut out, false);
         if out.len() < n {
             self.sweep_into(n, &mut out, true);
@@ -272,21 +260,21 @@ impl<S: Segment, const K: usize> Segment for LaneSegment<S, K> {
         out
     }
 
-    fn drain_all(&self) -> S::Batch {
-        let mut out = S::Batch::empty();
+    fn drain_all(&self) -> Vec<S::Item> {
+        let mut out = Vec::new();
         for lane in &self.lanes {
             lane.enter();
-            out.append(lane.seg.drain_all());
+            out.append(&mut lane.seg.drain_all());
             lane.exit();
         }
         out
     }
 
-    fn batch_shell(&self) -> S::Batch {
+    fn batch_shell(&self) -> Vec<S::Item> {
         self.lanes[0].seg.batch_shell()
     }
 
-    fn remove_up_to_into(&self, n: usize, out: &mut S::Batch) {
+    fn remove_up_to_into(&self, n: usize, out: &mut Vec<S::Item>) {
         let before = out.len();
         self.sweep_into(before + n, out, false);
         if out.len() < before + n {
@@ -311,7 +299,7 @@ impl<S: Segment, const K: usize> fmt::Debug for LaneSegment<S, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{BlockSegment, VecSegment};
+    use crate::segment::VecSegment;
     use std::thread;
 
     #[test]
@@ -371,23 +359,6 @@ mod tests {
         let stolen = seg.steal_half();
         assert_eq!(stolen.len(), 20, "sweep gathers the quota across lanes");
         assert_eq!(seg.len(), 20);
-    }
-
-    #[test]
-    fn lane_over_block_preserves_native_currency() {
-        let seg: LaneSegment<BlockSegment<u32>, 2> = LaneSegment::new();
-        for i in 0..64 {
-            seg.add(i);
-        }
-        let batch = seg.steal_half();
-        assert_eq!(batch.len(), 32);
-        let other: LaneSegment<BlockSegment<u32>, 2> = LaneSegment::new();
-        other.add_bulk(batch);
-        assert_eq!(other.len(), 32);
-        let mut all = other.drain_all().into_vec();
-        all.extend(seg.drain_all().into_vec());
-        all.sort_unstable();
-        assert_eq!(all, (0..64).collect::<Vec<_>>());
     }
 
     #[test]

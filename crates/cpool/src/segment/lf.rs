@@ -193,7 +193,6 @@ impl<T> Default for LfSegment<T> {
 
 impl<T: Send + 'static> Segment for LfSegment<T> {
     type Item = T;
-    type Batch = Vec<T>;
 
     fn new() -> Self {
         Self::default()

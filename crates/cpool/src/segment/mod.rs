@@ -12,11 +12,11 @@
 //!   representing them as a single counter that is atomically added to,
 //!   subtracted from, or split in half", which "minimizes the time involved
 //!   in segment operations, allowing the search time to dominate".
-//! * **Element segments** ([`VecSegment`], [`BlockSegment`],
-//!   [`LfSegment`]) store real values, for applications (the paper's
-//!   tic-tac-toe study stores game positions). [`LfSegment`] is fully
-//!   lock-free: mutations coordinate through an atomic occupancy counter
-//!   and the vendored MPMC queue, never a mutex.
+//! * **Element segments** ([`VecSegment`], [`LfSegment`]) store real
+//!   values, for applications (the paper's tic-tac-toe study stores game
+//!   positions). [`LfSegment`] is fully lock-free: mutations coordinate
+//!   through an atomic occupancy counter and the vendored MPMC queue, never
+//!   a mutex.
 //!
 //! A third, composite shape: [`LaneSegment`] shards one logical segment
 //! across `K` inner segments ("lanes") so concurrent owners spread over
@@ -30,28 +30,24 @@
 //!
 //! # The transfer currency
 //!
-//! Batch-moving operations are typed over the segment's associated
-//! [`Batch`](Segment::Batch), a [`TransferBatch`], so each representation
-//! transfers in its native currency: counting segments move a bare
-//! [`CountBatch`](crate::transfer::CountBatch), [`VecSegment`] a plain
-//! vector, and [`BlockSegment`] a [`BlockBatch`] of whole blocks — pointer
-//! moves, no flattening. See [`transfer`](crate::transfer) for the design
-//! and for the pooled free lists that make the steady-state transfer paths
-//! allocation-free.
+//! Every batch-moving operation — steal, refill, batched remove, drain —
+//! moves a plain `Vec<Self::Item>`. The counting segments move a `Vec<()>`,
+//! which is a bare length: zero-sized elements never touch the heap, so
+//! the paper's one-word count survives without a bespoke batch type. The
+//! element segments recycle the vectors' backing buffers through a
+//! pool-wide [`FreeList`](crate::transfer::FreeList) of shells, which keeps
+//! the steady-state steal/refill cycle allocation-free (see
+//! [`transfer`](crate::transfer)).
 
-mod block;
 mod counting;
 mod lane;
 mod lf;
 mod vec;
 
-pub use block::{BlockBatch, BlockSegment};
 pub use counting::{AtomicCounter, LockedCounter};
 pub use lane::LaneSegment;
 pub use lf::LfSegment;
 pub use vec::VecSegment;
-
-use crate::transfer::TransferBatch;
 
 /// A single pool segment.
 ///
@@ -85,26 +81,16 @@ use crate::transfer::TransferBatch;
 ///
 /// # Implementing the trait
 ///
-/// Simple segments set `type Batch = Vec<Self::Item>` (the
-/// [`TransferBatch`] impl for `Vec` is the compatibility shim — method
-/// bodies that already produce and consume vectors keep compiling
-/// unchanged) and take the provided [`remove_up_to`](Self::remove_up_to) /
-/// [`drain_all`](Self::drain_all) defaults. Representations with a cheaper
-/// native currency define their own batch type, as [`BlockSegment`] does.
+/// A segment needs `new`, `add`, `try_remove`, `len`, `steal_half` and
+/// `add_bulk`; the batch removes ([`remove_up_to`](Self::remove_up_to),
+/// [`drain_all`](Self::drain_all)) and the sweep hooks have per-element
+/// defaults that every in-tree segment overrides with a one-lock version.
 pub trait Segment: Send + Sync + 'static {
     /// The element type stored in the segment.
     ///
     /// Counting segments use `()`: the elements are indistinguishable, so
-    /// their transfers carry only a count.
+    /// their transfers are `Vec<()>`, a bare count.
     type Item: Send + 'static;
-
-    /// The currency of batch transfers: what a steal hands over, a refill
-    /// deposits, and a batched remove returns.
-    ///
-    /// Use `Vec<Self::Item>` unless the representation can move elements
-    /// more cheaply in bulk ([`BlockSegment`] moves whole blocks, counting
-    /// segments move a bare count).
-    type Batch: TransferBatch<Item = Self::Item>;
 
     /// Creates an empty segment.
     fn new() -> Self
@@ -114,13 +100,13 @@ pub trait Segment: Send + Sync + 'static {
     /// Creates the `count` segments of one pool.
     ///
     /// Segments created together may share pooled resources — the in-tree
-    /// element segments share one per-pool free list of recycled blocks and
-    /// batch shells ([`transfer`](crate::transfer)), so a block freed by a
-    /// consumer's segment refills a producer's without touching the
-    /// allocator. The default builds `count` independent segments with
-    /// [`new`](Self::new), which keeps third-party implementations
-    /// compiling (and correct — sharing is an optimization, never a
-    /// semantic requirement).
+    /// element segments share one per-pool free list of recycled batch
+    /// shells ([`transfer`](crate::transfer)), so a vector freed by a
+    /// thief's refill carries the next steal anywhere in the pool without
+    /// touching the allocator. The default builds `count` independent
+    /// segments with [`new`](Self::new), which keeps third-party
+    /// implementations compiling (and correct — sharing is an
+    /// optimization, never a semantic requirement).
     fn new_family(count: usize) -> Vec<Self>
     where
         Self: Sized,
@@ -143,32 +129,25 @@ pub trait Segment: Send + Sync + 'static {
     }
 
     /// Atomically removes ⌈n/2⌉ of the `n` elements present and returns
-    /// them; returns an empty batch if the segment was empty.
+    /// them; returns an empty vector if the segment was empty.
     ///
     /// This is the thief side of the steal protocol. The batch is handed
     /// back by value so the thief can move it into its own segment without
     /// ever holding two segment locks at once (deadlock freedom by
     /// construction).
-    fn steal_half(&self) -> Self::Batch;
+    fn steal_half(&self) -> Vec<Self::Item>;
 
-    /// Adds a batch of elements (the thief refilling its own segment).
+    /// Adds a batch of elements (the thief refilling its own segment, or a
+    /// frontend's `add_batch`).
     ///
-    /// Implementations should accept the batch in its native currency —
-    /// [`BlockSegment`] splices whole blocks into its own list — and
-    /// recycle the batch's container through the pool's free lists where
-    /// one exists.
-    fn add_bulk(&self, batch: Self::Batch);
+    /// Implementations should recycle the emptied vector through the
+    /// pool's shell free list where one exists.
+    fn add_bulk(&self, batch: Vec<Self::Item>);
 
-    /// Adds a batch of elements supplied as a plain vector (the frontends'
-    /// `add_batch`).
-    ///
-    /// The default converts through
-    /// [`TransferBatch::from_vec`] and delegates to
-    /// [`add_bulk`](Self::add_bulk); [`BlockSegment`] overrides it to
-    /// chunk the elements straight into recycled blocks under its lock,
-    /// skipping the intermediate batch's fresh allocations.
+    /// Same as [`add_bulk`](Self::add_bulk); kept for callers written
+    /// against the name.
     fn add_bulk_vec(&self, items: Vec<Self::Item>) {
-        self.add_bulk(Self::Batch::from_vec(items));
+        self.add_bulk(items);
     }
 
     /// Removes up to `n` arbitrary elements in one batch.
@@ -179,11 +158,11 @@ pub trait Segment: Send + Sync + 'static {
     /// batch. The default implementation is a per-element
     /// [`try_remove`](Self::try_remove) loop, provided so third-party
     /// segments keep compiling; every in-tree segment overrides it.
-    fn remove_up_to(&self, n: usize) -> Self::Batch {
-        let mut out = Self::Batch::empty();
+    fn remove_up_to(&self, n: usize) -> Vec<Self::Item> {
+        let mut out = Vec::new();
         while out.len() < n {
             match self.try_remove() {
-                Some(item) => out.put_one(item),
+                Some(item) => out.push(item),
                 None => break,
             }
         }
@@ -194,35 +173,34 @@ pub trait Segment: Send + Sync + 'static {
     ///
     /// Like [`remove_up_to`](Self::remove_up_to), implementations take the
     /// lock once; the default loops until the segment reports empty.
-    fn drain_all(&self) -> Self::Batch {
+    fn drain_all(&self) -> Vec<Self::Item> {
         self.remove_up_to(usize::MAX)
     }
 
-    /// An empty batch container suitable for filling incrementally, drawn
-    /// from the segment's recycled-container cache when it keeps one.
+    /// An empty vector suitable for filling incrementally, drawn from the
+    /// segment's shell cache when it keeps one.
     ///
     /// Composite segments ([`LaneSegment`]) sweep several inner segments
     /// per steal; starting from one recycled shell and filling it via
     /// [`remove_up_to_into`](Self::remove_up_to_into) keeps that sweep on
-    /// the allocation-free steady-state path (a per-lane batch would drop
+    /// the allocation-free steady-state path (a per-lane vector would drop
     /// each donor shell's capacity on append). The default returns
-    /// [`TransferBatch::empty`], which is always correct — a third-party
-    /// segment that ignores this hook merely forfeits shell reuse.
-    fn batch_shell(&self) -> Self::Batch {
-        Self::Batch::empty()
+    /// `Vec::new()`, which is always correct — a third-party segment that
+    /// ignores this hook merely forfeits shell reuse.
+    fn batch_shell(&self) -> Vec<Self::Item> {
+        Vec::new()
     }
 
     /// Removes up to `n` arbitrary elements, appending them to `out`.
     ///
     /// The sweep-side counterpart of [`remove_up_to`](Self::remove_up_to):
     /// callers that gather one transfer from several segments pass the
-    /// same container through every call. The default routes through
-    /// `remove_up_to` and [`TransferBatch::append`]; segments with a
-    /// container cache override it to drain straight into `out` under one
-    /// lock acquisition, so no intermediate batch (and no donor capacity)
-    /// is created or lost.
-    fn remove_up_to_into(&self, n: usize, out: &mut Self::Batch) {
-        out.append(self.remove_up_to(n));
+    /// same vector through every call. The default appends the result of
+    /// `remove_up_to`; segments with a shell cache override it to drain
+    /// straight into `out` under one lock acquisition, so no intermediate
+    /// vector (and no donor capacity) is created or lost.
+    fn remove_up_to_into(&self, n: usize, out: &mut Vec<Self::Item>) {
+        out.append(&mut self.remove_up_to(n));
     }
 }
 
@@ -260,7 +238,7 @@ mod tests {
     }
 
     /// Generic contract test run against every segment implementation,
-    /// exercised purely through the batch-typed trait surface.
+    /// exercised purely through the trait surface.
     fn check_contract<S: Segment<Item = ()>>() {
         let seg = S::new();
         assert!(seg.is_empty());
@@ -289,11 +267,11 @@ mod tests {
         assert!(seg.is_empty());
 
         // Batch removal contract: bounded take, then a full drain.
-        seg.add_bulk(S::Batch::from_vec(vec![(); 7]));
+        seg.add_bulk(vec![(); 7]);
         assert_eq!(seg.remove_up_to(3).len(), 3);
         assert_eq!(seg.remove_up_to(100).len(), 4, "remove_up_to is bounded by occupancy");
         assert!(seg.remove_up_to(5).is_empty());
-        seg.add_bulk(S::Batch::from_vec(vec![(); 6]));
+        seg.add_bulk(vec![(); 6]);
         assert_eq!(seg.drain_all().len(), 6);
         assert!(seg.is_empty());
         assert!(seg.drain_all().is_empty());
@@ -314,12 +292,11 @@ mod tests {
         for i in 0..9u32 {
             seg.add(i);
         }
-        let stolen = seg.steal_half();
-        assert_eq!(stolen.len(), 5);
+        let mut all = seg.steal_half();
+        assert_eq!(all.len(), 5);
         assert_eq!(seg.len(), 4);
         // Between them, the stolen batch and the residue hold exactly the
         // original elements (the pool is unordered but must conserve items).
-        let mut all: Vec<u32> = stolen.into_vec();
         while let Some(x) = seg.try_remove() {
             all.push(x);
         }
@@ -330,10 +307,9 @@ mod tests {
         for i in 10..20u32 {
             seg.add(i);
         }
-        let batched = seg.remove_up_to(4);
+        let mut batched = seg.remove_up_to(4);
         assert_eq!(batched.len(), 4);
-        let mut batched = batched.into_vec();
-        batched.extend(seg.drain_all().into_vec());
+        batched.extend(seg.drain_all());
         batched.sort_unstable();
         assert_eq!(batched, (10..20).collect::<Vec<_>>());
         assert!(seg.is_empty());
@@ -345,11 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn block_segment_contract() {
-        check_element_contract::<BlockSegment<u32>>();
-    }
-
-    #[test]
     fn lf_segment_contract() {
         check_element_contract::<LfSegment<u32>>();
     }
@@ -357,11 +328,6 @@ mod tests {
     #[test]
     fn lane_over_vec_contract() {
         check_element_contract::<LaneSegment<VecSegment<u32>, 4>>();
-    }
-
-    #[test]
-    fn lane_over_block_contract() {
-        check_element_contract::<LaneSegment<BlockSegment<u32>, 2>>();
     }
 
     #[test]

@@ -72,7 +72,6 @@ impl<T> Default for VecSegment<T> {
 
 impl<T: Send + 'static> Segment for VecSegment<T> {
     type Item = T;
-    type Batch = Vec<T>;
 
     fn new() -> Self {
         Self::default()

@@ -1,35 +1,22 @@
-//! The transfer layer: typed batches moved between segments, and the pooled
-//! free lists that make moving them allocation-free.
+//! The transfer layer: the pooled free lists that make moving batches
+//! between segments allocation-free.
 //!
-//! Manber's block-organized segment gets its O(1) split from moving *whole
-//! blocks* between segments, and Kotz & Ellis's measured runs deliberately
-//! "eliminated the block transfer of stolen elements between processes" so
-//! that search time would dominate. An earlier revision of this crate
-//! nevertheless forced every transfer — steal, refill, batched remove —
-//! through a by-value `Vec<Item>` at the [`Segment`](crate::Segment) trait
-//! boundary, so the block segment flattened its blocks on every steal and
-//! every transfer allocated on the hot path.
+//! Every transfer — steal, refill, batched remove — moves a plain
+//! `Vec<Item>` across the [`Segment`](crate::Segment) trait boundary.
+//! Manber's block-organized segment gets an O(n/B) split from moving whole
+//! blocks instead, but that only pays off on steals of thousands of
+//! elements, and Kotz & Ellis's measured runs "eliminated the block
+//! transfer of stolen elements between processes" altogether. The counting
+//! segments move a `Vec<()>`, whose zero-sized elements make it a bare
+//! length with no heap behind it, so the paper's §3.2 one-word count needs
+//! no bespoke batch type either.
 //!
-//! This module fixes the boundary itself. A segment now names its transfer
-//! currency with an associated `type Batch: TransferBatch`:
-//!
-//! * [`Vec<T>`] implements [`TransferBatch`] directly — the plain vector
-//!   batch of [`VecSegment`](crate::VecSegment), and the migration shim for
-//!   third-party segments (`type Batch = Vec<Self::Item>;` keeps an
-//!   existing implementation compiling with its method bodies unchanged).
-//! * [`CountBatch`] carries only a count — the counting segments' batch,
-//!   allocation-free by construction (the paper's §3.2 measurement
-//!   simplification stores no values at all).
-//! * [`BlockBatch`](crate::segment::BlockBatch) hands whole blocks over by
-//!   pointer — O(n/B) moves for an n-element steal with B-element blocks,
-//!   no flattening.
-//!
-//! The second half of the story is the [`FreeList`]: a lock-free free list
-//! of recycled containers (empty capacity-carrying blocks, spare batch
-//! shells) that the steal, refill, and batch paths draw from and return
-//! to, so the steady-state transfer paths allocate nothing. Blelloch &
-//! Wei ("Concurrent Fixed-Size Allocation and Free in Constant Time")
-//! make the case that fixed-size block recycling is the standard route to
+//! What a `Vec` batch does cost is its backing buffer. The [`FreeList`] is
+//! a lock-free free list of recycled containers (spare vector shells) that
+//! the steal, refill, and batch paths draw from and return to, so the
+//! steady-state transfer paths allocate nothing. Blelloch & Wei
+//! ("Concurrent Fixed-Size Allocation and Free in Constant Time") make the
+//! case that recycling fixed-size containers is the standard route to
 //! allocation-free concurrent hot paths; this is that route, scoped per
 //! pool. The list rides on `crossbeam_queue::ArrayQueue` — the bounded
 //! Vyukov-style MPMC ring hand-rolled in the vendored `crossbeam-queue`
@@ -46,174 +33,15 @@
 
 use crossbeam_queue::ArrayQueue;
 
-/// A batch of elements in transit between segments.
-///
-/// The currency of [`Segment::steal_half`](crate::Segment::steal_half) /
-/// [`add_bulk`](crate::Segment::add_bulk) /
-/// [`remove_up_to`](crate::Segment::remove_up_to) /
-/// [`drain_all`](crate::Segment::drain_all), of the steal engine's
-/// two-phase probe, and of the batch results handed to callers through
-/// [`SmallDrain`](crate::SmallDrain). Elements come back out in an
-/// *unspecified order* — the pool is an unordered collection, and batch
-/// representations (whole blocks, bare counts) are free to pick whatever
-/// order is cheap.
-///
-/// `Vec<T>` implements the trait (`take_one` pops the back), so simple
-/// segments need no bespoke batch type.
-pub trait TransferBatch: Send + Sized {
-    /// The element type the batch carries.
-    type Item: Send + 'static;
-
-    /// Creates an empty batch.
-    fn empty() -> Self;
-
-    /// Number of elements currently in the batch.
-    fn len(&self) -> usize;
-
-    /// Whether the batch holds no elements.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes and returns one element (unspecified order), or `None` if
-    /// the batch is empty.
-    ///
-    /// This is how the two-phase steal keeps one element to satisfy the
-    /// pending remove, and how [`SmallDrain`](crate::SmallDrain) iterates.
-    fn take_one(&mut self) -> Option<Self::Item>;
-
-    /// Adds one element to the batch.
-    fn put_one(&mut self, item: Self::Item);
-
-    /// Moves every element of `other` into this batch.
-    fn append(&mut self, other: Self);
-
-    /// Builds a batch from a vector of elements.
-    ///
-    /// Convenience for call sites that produce elements as a `Vec` (the
-    /// frontends' `add_batch`, tests, benches); the default loops
-    /// [`put_one`](Self::put_one).
-    fn from_vec(items: Vec<Self::Item>) -> Self {
-        let mut batch = Self::empty();
-        for item in items {
-            batch.put_one(item);
-        }
-        batch
-    }
-
-    /// Drains the batch into a vector (unspecified element order).
-    fn into_vec(mut self) -> Vec<Self::Item> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(item) = self.take_one() {
-            out.push(item);
-        }
-        out
-    }
-}
-
-impl<T: Send + 'static> TransferBatch for Vec<T> {
-    type Item = T;
-
-    fn empty() -> Self {
-        Vec::new()
-    }
-
-    fn len(&self) -> usize {
-        self.len()
-    }
-
-    fn take_one(&mut self) -> Option<T> {
-        self.pop()
-    }
-
-    fn put_one(&mut self, item: T) {
-        self.push(item);
-    }
-
-    fn append(&mut self, mut other: Self) {
-        Vec::append(self, &mut other);
-    }
-
-    fn from_vec(items: Vec<T>) -> Self {
-        items
-    }
-
-    fn into_vec(self) -> Vec<T> {
-        self
-    }
-}
-
-/// A count-only batch: the counting segments' transfer currency.
-///
-/// The paper's §3.2 measurement simplification represents a segment as "a
-/// single counter that is atomically added to, subtracted from, or split in
-/// half" — so the only thing a transfer needs to carry is *how many*. A
-/// `CountBatch` is one machine word and never touches the heap.
-///
-/// ```
-/// use cpool::transfer::{CountBatch, TransferBatch};
-///
-/// let mut batch = CountBatch::of(3);
-/// assert_eq!(batch.len(), 3);
-/// assert_eq!(batch.take_one(), Some(()));
-/// assert_eq!(batch.len(), 2);
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct CountBatch {
-    count: usize,
-}
-
-impl CountBatch {
-    /// A batch standing for `count` (indistinguishable) elements.
-    pub fn of(count: usize) -> Self {
-        CountBatch { count }
-    }
-}
-
-impl TransferBatch for CountBatch {
-    type Item = ();
-
-    fn empty() -> Self {
-        CountBatch { count: 0 }
-    }
-
-    fn len(&self) -> usize {
-        self.count
-    }
-
-    fn take_one(&mut self) -> Option<()> {
-        if self.count == 0 {
-            None
-        } else {
-            self.count -= 1;
-            Some(())
-        }
-    }
-
-    fn put_one(&mut self, (): ()) {
-        self.count += 1;
-    }
-
-    fn append(&mut self, other: Self) {
-        self.count += other.count;
-    }
-
-    fn from_vec(items: Vec<()>) -> Self {
-        // Vec<()> is a bare length (zero-sized elements never allocate).
-        CountBatch { count: items.len() }
-    }
-}
-
 /// Smallest transfer (elements moved, or shell capacity) worth a free-list
 /// round trip.
 ///
-/// A recycled container costs two free-list operations per cycle (take on
-/// the steal, put on the refill); for a transfer of one or two elements
+/// A recycled vector shell costs two free-list operations per cycle (take
+/// on the steal, put on the refill); for a transfer of one or two elements
 /// the general allocator's small-size fast path is cheaper than those two
-/// synchronized hops, so the vector-based segments only draw and return
-/// shells for transfers at least this large. (Block segments are exempt:
-/// their currency is the block itself, which must be recycled at any size
-/// or block churn would allocate on every local add/remove.)
+/// synchronized hops, so the element segments only draw and return shells
+/// for transfers at least this large. Smaller steals collect into a fresh
+/// vector, and a refill drops an undersized shell instead of caching it.
 pub(crate) const SHELL_SPILL_MIN: usize = 8;
 
 /// Largest shell capacity (in elements) the vector-based segments return
@@ -229,10 +57,9 @@ pub(crate) const SHELL_SPILL_MAX: usize = 8192;
 
 /// A bounded lock-free free list of recycled containers.
 ///
-/// Pools of [`BlockSegment`](crate::BlockSegment)s share one list of empty
-/// capacity-carrying blocks (plus batch shells); pools of
-/// [`VecSegment`](crate::VecSegment)s and keyed pools share a list of spare
-/// vector shells. Steals, refills, and batch removes draw containers here
+/// Pools of [`VecSegment`](crate::VecSegment)s or
+/// [`LfSegment`](crate::LfSegment)s and keyed pools share one list of spare
+/// vector shells per pool. Steals, refills, and batch removes draw containers here
 /// instead of the allocator, and consumers return emptied containers
 /// instead of dropping them — so the steady-state transfer paths perform
 /// zero allocations (verified by `tests/alloc_steal.rs`).
@@ -307,62 +134,36 @@ impl<T> std::fmt::Debug for FreeList<T> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn vec_batch_roundtrip() {
-        let mut batch: Vec<u32> = TransferBatch::from_vec(vec![1, 2, 3]);
-        assert_eq!(TransferBatch::len(&batch), 3);
-        assert!(!TransferBatch::is_empty(&batch));
-        assert_eq!(batch.take_one(), Some(3), "take_one pops the back");
-        batch.put_one(9);
-        TransferBatch::append(&mut batch, vec![7]);
-        let mut out = TransferBatch::into_vec(batch);
-        out.sort_unstable();
-        assert_eq!(out, vec![1, 2, 7, 9]);
+    use crate::segment::{AtomicCounter, LockedCounter, Segment};
+
+    /// A steal→refill→drain round trip through the `Vec<()>` transfers of
+    /// a counting segment family conserves the count exactly.
+    fn unit_transfers_conserve<S: Segment<Item = ()>>() {
+        let family = S::new_family(2);
+        family[0].add_bulk(vec![(); 11]);
+        family[0].add(());
+        let mut batch = family[0].steal_half();
+        assert_eq!(batch.len(), 6);
+        assert_eq!(batch.pop(), Some(()), "a steal keeps one element for the remove");
+        family[1].add_bulk(batch);
+        assert_eq!(family[0].len() + family[1].len(), 11);
+        let mut all = family[0].remove_up_to(4);
+        assert_eq!(all.len(), 4);
+        all.append(&mut family[0].drain_all());
+        all.append(&mut family[1].drain_all());
+        assert_eq!(all.len(), 11);
+        assert!(family.iter().all(|s| s.is_empty()));
+        assert!(family[1].drain_all().is_empty());
     }
 
     #[test]
-    fn count_batch_is_a_bare_count() {
-        let mut batch = CountBatch::of(2);
-        batch.put_one(());
-        batch.append(CountBatch::of(5));
-        assert_eq!(batch.len(), 8);
-        let mut taken = 0;
-        while batch.take_one().is_some() {
-            taken += 1;
-        }
-        assert_eq!(taken, 8);
-        assert!(batch.is_empty());
-        assert_eq!(batch.take_one(), None);
-        assert_eq!(CountBatch::from_vec(vec![(); 4]).len(), 4);
-        assert_eq!(CountBatch::of(3).into_vec(), vec![(); 3]);
+    fn locked_counter_unit_transfers_conserve() {
+        unit_transfers_conserve::<LockedCounter>();
     }
 
     #[test]
-    fn default_from_vec_and_into_vec_roundtrip() {
-        // Exercise the trait defaults through a minimal custom batch.
-        struct Pair(Vec<u8>);
-        impl TransferBatch for Pair {
-            type Item = u8;
-            fn empty() -> Self {
-                Pair(Vec::new())
-            }
-            fn len(&self) -> usize {
-                self.0.len()
-            }
-            fn take_one(&mut self) -> Option<u8> {
-                self.0.pop()
-            }
-            fn put_one(&mut self, item: u8) {
-                self.0.push(item);
-            }
-            fn append(&mut self, mut other: Self) {
-                self.0.append(&mut other.0);
-            }
-        }
-        let batch = Pair::from_vec(vec![1, 2, 3]);
-        let mut out = batch.into_vec();
-        out.sort_unstable();
-        assert_eq!(out, vec![1, 2, 3]);
+    fn atomic_counter_unit_transfers_conserve() {
+        unit_transfers_conserve::<AtomicCounter>();
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The transfer layer's headline guarantee: the **steady-state steal path
 //! performs zero heap allocations**, on both frontends.
 //!
-//! Blocks and transfer shells are recycled through per-pool free lists
-//! (`cpool::transfer`), so once a pool has warmed up — its blocks, batch
-//! shells, and bucket capacities grown to the workload's footprint — a
+//! Transfer shells are recycled through per-pool free lists
+//! (`cpool::transfer`), and the counting segments' `Vec<()>` transfers
+//! never reach the heap at all, so once a pool has warmed up — its batch
+//! shells and bucket capacities grown to the workload's footprint — a
 //! producer/thief cycle of adds, steals (two-phase drain + refill), and
 //! removes touches the allocator not at all. This file installs a counting
 //! `#[global_allocator]` and asserts exactly that.
@@ -20,8 +21,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cpool::{
-    BlockSegment, KeyedPool, LaneSegment, LfSegment, LinearSearch, Pool, PoolBuilder, Segment,
-    VecSegment,
+    AtomicCounter, KeyedPool, LaneSegment, LfSegment, LinearSearch, LockedCounter, Pool,
+    PoolBuilder, Segment, VecSegment,
 };
 
 /// Counts allocator hits (alloc + realloc) from the armed thread.
@@ -87,14 +88,15 @@ const PER_ROUND: u64 = 64;
 /// One steady-state round on the plain pool: the victim produces a burst,
 /// the thief's first remove runs the full search + two-phase steal-half
 /// transfer (32 elements: one kept, 31 refilled into its home segment),
-/// both sides then consume their halves so every block/shell cycles back
-/// through the pool's free lists.
-fn pool_round<S: Segment<Item = u64>>(
+/// both sides then consume their halves so every shell cycles back
+/// through the pool's free lists. Element values do not matter here, so
+/// the victim adds `Default` ones and counting pools run the same round.
+fn pool_round<S: Segment<Item: Default>>(
     thief: &mut cpool::Handle<S, LinearSearch>,
     victim: &mut cpool::Handle<S, LinearSearch>,
 ) {
-    for i in 0..PER_ROUND {
-        victim.add(i);
+    for _ in 0..PER_ROUND {
+        victim.add(S::Item::default());
     }
     for _ in 0..PER_ROUND / 2 {
         thief.try_remove().expect("victim produced this round");
@@ -104,7 +106,7 @@ fn pool_round<S: Segment<Item = u64>>(
     }
 }
 
-fn check_pool_frontend<S: Segment<Item = u64>>(name: &str) {
+fn check_pool_frontend<S: Segment<Item: Default>>(name: &str) {
     let pool: Pool<S, LinearSearch> = PoolBuilder::new(2).build();
     let mut thief = pool.register(); // home segment 0
     let mut victim = pool.register(); // home segment 1
@@ -212,10 +214,10 @@ fn keyed_round(thief: &mut cpool::KeyedHandle<u8, u64>, victim: &mut cpool::Keye
 
 #[test]
 fn steady_state_steal_paths_allocate_nothing() {
-    // Frontend 1a: the plain pool over block segments — whole blocks move
-    // by handle through the two-phase transfer and recycle through the
-    // family's block cache.
-    check_pool_frontend::<BlockSegment<u64>>("Pool<BlockSegment>");
+    // Frontend 1a: the plain pool over the counting segments — a steal
+    // moves a `Vec<()>`, a bare length that never touches the heap.
+    check_pool_frontend::<LockedCounter>("Pool<LockedCounter>");
+    check_pool_frontend::<AtomicCounter>("Pool<AtomicCounter>");
 
     // Frontend 1b: the plain pool over vec segments — the transfer vector
     // itself is a recycled shell from the family's cache.
@@ -232,25 +234,6 @@ fn steady_state_steal_paths_allocate_nothing() {
     // shell's capacity on every hop), and deposits land as whole batches
     // in a single lane.
     check_pool_frontend::<LaneSegment<VecSegment<u64>, 4>>("Pool<LaneSegment<VecSegment>>");
-
-    // Lone-element steals on the block pool: with a single element stolen
-    // the two-phase probe's refill leg is a pure container return, and the
-    // shell circulating between steals is what carries the spent block
-    // back to the producer.
-    let pool: Pool<BlockSegment<u64>, LinearSearch> = PoolBuilder::new(2).build();
-    let mut thief = pool.register();
-    let mut victim = pool.register();
-    for i in 0..WARMUP_ROUNDS as u64 {
-        victim.add(i);
-        thief.try_remove().expect("victim holds one element");
-    }
-    let hits = count_allocs(|| {
-        for i in 0..MEASURED_ROUNDS as u64 {
-            victim.add(i);
-            thief.try_remove().expect("victim holds one element");
-        }
-    });
-    assert_eq!(hits, 0, "lone-element block steal cycle must not allocate");
 
     // Frontend 2: the keyed pool — keyed steals fill recycled shells and
     // emptied buckets stay resident, so bucket capacity and map nodes are

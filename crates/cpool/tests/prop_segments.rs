@@ -1,17 +1,14 @@
 //! Property-based tests for the segment implementations: every segment kind
 //! must behave like a simple model (a multiset / a counter) under arbitrary
 //! operation sequences, `steal_half` must obey the paper's ⌈n/2⌉ rule, and
-//! the batch-typed transfer layer must conserve elements — a steal→refill
-//! hop between segments is a multiset identity, whatever currency
-//! ([`Vec`], `CountBatch`, `BlockBatch`) the segment family transfers in.
+//! the `Vec` transfers must conserve elements — a steal→refill hop between
+//! segments is a multiset identity (a count identity for the counting
+//! segments' `Vec<()>`).
 
 use proptest::prelude::*;
 
 use cpool::segment::steal_count;
-use cpool::transfer::TransferBatch;
-use cpool::{
-    AtomicCounter, BlockSegment, LaneSegment, LfSegment, LockedCounter, Segment, VecSegment,
-};
+use cpool::{AtomicCounter, LaneSegment, LfSegment, LockedCounter, Segment, VecSegment};
 
 /// One step of a generated workload.
 #[derive(Clone, Copy, Debug)]
@@ -39,7 +36,7 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
 }
 
 /// Drives a counting segment and a plain integer model in lockstep, through
-/// the full batch-typed surface.
+/// the full trait surface.
 fn check_counting_model<S: Segment<Item = ()>>(script: &[Step]) {
     let seg = S::new();
     let mut model: usize = 0;
@@ -62,7 +59,7 @@ fn check_counting_model<S: Segment<Item = ()>>(script: &[Step]) {
                 model -= stolen.len();
             }
             Step::AddBulk(k) => {
-                seg.add_bulk(S::Batch::from_vec(vec![(); *k as usize]));
+                seg.add_bulk(vec![(); *k as usize]);
                 model += *k as usize;
             }
             Step::RemoveUpTo(k) => {
@@ -82,13 +79,13 @@ fn check_counting_model<S: Segment<Item = ()>>(script: &[Step]) {
 }
 
 /// Drives an element segment and a multiset model in lockstep: elements are
-/// conserved and never invented, whichever batch currency they travel in.
+/// conserved and never invented, whichever path they travel.
 fn check_element_model<S: Segment<Item = u32>>(script: &[Step]) {
     let seg = S::new();
     let mut model: Vec<u32> = Vec::new();
     let mut next_bulk = 10_000u32;
-    let drain_from_model = |model: &mut Vec<u32>, batch: S::Batch| {
-        for v in batch.into_vec() {
+    let drain_from_model = |model: &mut Vec<u32>, batch: Vec<u32>| {
+        for v in batch {
             let at = model.iter().position(|&m| m == v).expect("batched a known value");
             model.swap_remove(at);
         }
@@ -115,7 +112,7 @@ fn check_element_model<S: Segment<Item = u32>>(script: &[Step]) {
                 let batch: Vec<u32> = (0..*k as u32).map(|i| next_bulk + i).collect();
                 next_bulk += u32::from(*k);
                 model.extend(&batch);
-                seg.add_bulk(S::Batch::from_vec(batch));
+                seg.add_bulk(batch);
             }
             Step::RemoveUpTo(k) => {
                 let got = seg.remove_up_to(*k as usize);
@@ -174,7 +171,7 @@ fn check_transfer_conservation<S: Segment<Item = ()>>(script: &[Step], seed_elem
                 assert_eq!(victim.len() + thief.len(), total, "steal→refill conserves ({moved})");
             }
             Step::AddBulk(k) => {
-                thief.add_bulk(S::Batch::from_vec(vec![(); *k as usize]));
+                thief.add_bulk(vec![(); *k as usize]);
                 total += *k as usize;
             }
             Step::RemoveUpTo(k) => {
@@ -210,11 +207,6 @@ proptest! {
     }
 
     #[test]
-    fn block_segment_matches_model(script in steps()) {
-        check_element_model::<BlockSegment<u32>>(&script);
-    }
-
-    #[test]
     fn lf_segment_matches_model(script in steps()) {
         check_element_model::<LfSegment<u32>>(&script);
     }
@@ -222,11 +214,6 @@ proptest! {
     #[test]
     fn lane_over_vec_matches_model(script in steps()) {
         check_element_model::<LaneSegment<VecSegment<u32>, 4>>(&script);
-    }
-
-    #[test]
-    fn lane_over_block_matches_model(script in steps()) {
-        check_element_model::<LaneSegment<BlockSegment<u32>, 2>>(&script);
     }
 
     #[test]
@@ -258,11 +245,6 @@ proptest! {
     }
 
     #[test]
-    fn block_segment_transfer_conserves(script in steps(), seed in 0usize..64) {
-        check_transfer_conservation::<BlockSegment<()>>(&script, seed);
-    }
-
-    #[test]
     fn lf_segment_transfer_conserves(script in steps(), seed in 0usize..64) {
         check_transfer_conservation::<LfSegment<()>>(&script, seed);
     }
@@ -270,35 +252,6 @@ proptest! {
     #[test]
     fn lane_over_vec_transfer_conserves(script in steps(), seed in 0usize..64) {
         check_transfer_conservation::<LaneSegment<VecSegment<()>, 4>>(&script, seed);
-    }
-
-    #[test]
-    fn lane_over_block_transfer_conserves(script in steps(), seed in 0usize..64) {
-        check_transfer_conservation::<LaneSegment<BlockSegment<()>, 2>>(&script, seed);
-    }
-
-    /// Element-level steal→refill multiset identity between two block
-    /// segments: the zero-copy block hop moves exactly the stolen values.
-    #[test]
-    fn block_steal_refill_multiset_identity(
-        initial in 0usize..300,
-        hops in 1usize..8,
-    ) {
-        let family = <BlockSegment<u32> as Segment>::new_family(2);
-        for i in 0..initial as u32 {
-            family[0].add(i);
-        }
-        for hop in 0..hops {
-            let (victim, thief) = (&family[hop % 2], &family[(hop + 1) % 2]);
-            let stolen = victim.steal_half();
-            prop_assert_eq!(stolen.len(), steal_count(victim.len() + stolen.len()) , "⌈n/2⌉");
-            thief.add_bulk(stolen);
-        }
-        // Whatever bounced between the two segments, the multiset is intact.
-        let mut all: Vec<u32> = family[0].drain_all().into_vec();
-        all.extend(family[1].drain_all().into_vec());
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..initial as u32).collect::<Vec<_>>());
     }
 
     /// The steal rule itself: thief takes ⌈n/2⌉, victim keeps ⌊n/2⌋, and a
@@ -324,78 +277,39 @@ proptest! {
     /// Concurrent thieves on one segment: nothing is lost or duplicated.
     #[test]
     fn concurrent_steals_conserve(initial in 1usize..400, thieves in 1usize..6) {
-        let seg = VecSegment::<u32>::new();
-        for i in 0..initial {
-            seg.add(i as u32);
-        }
-        let mut batches: Vec<Vec<u32>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..thieves)
-                .map(|_| s.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let b = seg.steal_half();
-                        if b.is_empty() {
-                            break mine;
-                        }
-                        mine.extend(b);
-                    }
-                }))
-                .collect();
-            for h in handles {
-                batches.push(h.join().expect("thief panicked"));
-            }
-        });
-        let mut all: Vec<u32> = batches.into_iter().flatten().collect();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..initial as u32).collect::<Vec<_>>());
-        prop_assert_eq!(seg.len(), 0);
+        check_concurrent_steals(&VecSegment::<u32>::new(), initial, thieves)?;
     }
 
     /// Concurrent thieves on the lock-free segment: the CAS-reservation
     /// split never loses or duplicates an element.
     #[test]
     fn concurrent_lf_steals_conserve(initial in 1usize..400, thieves in 1usize..6) {
-        let seg = LfSegment::<u32>::new();
-        for i in 0..initial {
-            seg.add(i as u32);
-        }
-        let mut batches: Vec<Vec<u32>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..thieves)
-                .map(|_| s.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let b = seg.steal_half();
-                        if b.is_empty() {
-                            break mine;
-                        }
-                        mine.extend(b);
-                    }
-                }))
-                .collect();
-            for h in handles {
-                batches.push(h.join().expect("thief panicked"));
-            }
-        });
-        let mut all: Vec<u32> = batches.into_iter().flatten().collect();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..initial as u32).collect::<Vec<_>>());
-        prop_assert_eq!(seg.len(), 0);
+        check_concurrent_steals(&LfSegment::<u32>::new(), initial, thieves)?;
     }
 
     /// Concurrent thieves racing across a sharded segment's lanes: the
     /// per-lane sweeps together conserve the whole multiset.
     #[test]
     fn concurrent_lane_steals_conserve(initial in 1usize..400, thieves in 1usize..6) {
-        let seg = LaneSegment::<VecSegment<u32>, 4>::new();
-        for i in 0..initial {
-            seg.add(i as u32);
-        }
-        let mut batches: Vec<Vec<u32>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..thieves)
-                .map(|_| s.spawn(|| {
+        check_concurrent_steals(&LaneSegment::<VecSegment<u32>, 4>::new(), initial, thieves)?;
+    }
+}
+
+/// Fills `seg` with `initial` distinct values, lets `thieves` threads
+/// steal half at a time until it is empty, and checks that the stolen
+/// batches together hold exactly the original values.
+fn check_concurrent_steals<S: Segment<Item = u32>>(
+    seg: &S,
+    initial: usize,
+    thieves: usize,
+) -> Result<(), TestCaseError> {
+    for i in 0..initial {
+        seg.add(i as u32);
+    }
+    let mut all: Vec<u32> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..thieves)
+            .map(|_| {
+                s.spawn(|| {
                     let mut mine = Vec::new();
                     loop {
                         let b = seg.steal_half();
@@ -404,47 +318,13 @@ proptest! {
                         }
                         mine.extend(b);
                     }
-                }))
-                .collect();
-            for h in handles {
-                batches.push(h.join().expect("thief panicked"));
-            }
-        });
-        let mut all: Vec<u32> = batches.into_iter().flatten().collect();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..initial as u32).collect::<Vec<_>>());
-        prop_assert_eq!(seg.len(), 0);
-    }
-
-    /// Concurrent block thieves: whole-block hand-over under contention
-    /// still conserves the multiset.
-    #[test]
-    fn concurrent_block_steals_conserve(initial in 1usize..400, thieves in 1usize..6) {
-        let seg = BlockSegment::<u32>::with_block_size(8);
-        for i in 0..initial {
-            seg.add(i as u32);
-        }
-        let mut batches: Vec<Vec<u32>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..thieves)
-                .map(|_| s.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let b = seg.steal_half();
-                        if b.is_empty() {
-                            break mine;
-                        }
-                        mine.extend(b.into_vec());
-                    }
-                }))
-                .collect();
-            for h in handles {
-                batches.push(h.join().expect("thief panicked"));
-            }
-        });
-        let mut all: Vec<u32> = batches.into_iter().flatten().collect();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..initial as u32).collect::<Vec<_>>());
-        prop_assert_eq!(seg.len(), 0);
-    }
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("thief panicked")).collect()
+    });
+    all.sort_unstable();
+    prop_assert_eq!(all, (0..initial as u32).collect::<Vec<_>>());
+    prop_assert_eq!(seg.len(), 0);
+    Ok(())
 }

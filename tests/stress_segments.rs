@@ -4,8 +4,8 @@
 //! thief fleets run the two-phase `steal_half` → `add_bulk` transfer
 //! between family members, under hard watchdog deadlines.
 //!
-//! Run for every element segment — the mutex deque, the block segment, the
-//! fully lock-free `LfSegment`, and the sharded `LaneSegment` over both —
+//! Run for every element segment — the mutex deque, the fully lock-free
+//! `LfSegment`, and the sharded `LaneSegment` over both —
 //! the driver asserts the two properties that survive any interleaving:
 //!
 //! * **conservation** — globally unique values, checksummed: every element
@@ -26,7 +26,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-use cpool::{BlockSegment, LaneSegment, LfSegment, Segment, TransferBatch, VecSegment};
+use cpool::{LaneSegment, LfSegment, Segment, VecSegment};
 
 /// Runs `scenario` on its own thread and panics if it does not finish
 /// within `deadline` (the lifecycle-test watchdog pattern).
@@ -100,8 +100,7 @@ fn segment_fleet_conservation<S: Segment<Item = u64>>() {
                     let victim = &family[(t + rounds) % SEGMENTS];
                     let target = &family[(t + rounds + 1) % SEGMENTS];
                     let batch = victim.steal_half();
-                    // Deposit through the native currency — the emptied
-                    // container recycles inside the family.
+                    // The emptied shell recycles inside the family.
                     target.add_bulk(batch);
                     rounds += 1;
                     if live_owners.load(Ordering::Acquire) == 0 {
@@ -117,9 +116,7 @@ fn segment_fleet_conservation<S: Segment<Item = u64>>() {
     // Settle the books single-threaded: residue + consumed == pushed.
     let mut residue = 0u64;
     for seg in &family {
-        for v in seg.drain_all().into_vec() {
-            residue += v;
-        }
+        residue += seg.drain_all().into_iter().sum::<u64>();
         assert!(seg.is_empty(), "drain_all leaves the segment empty");
         assert_eq!(seg.len(), 0, "occupancy agrees with emptiness at quiescence");
     }
@@ -133,11 +130,6 @@ fn segment_fleet_conservation<S: Segment<Item = u64>>() {
 #[test]
 fn vec_segment_fleet_conservation() {
     with_deadline(Duration::from_secs(120), segment_fleet_conservation::<VecSegment<u64>>);
-}
-
-#[test]
-fn block_segment_fleet_conservation() {
-    with_deadline(Duration::from_secs(120), segment_fleet_conservation::<BlockSegment<u64>>);
 }
 
 #[test]
@@ -158,14 +150,6 @@ fn lane_over_lf_fleet_conservation() {
     with_deadline(
         Duration::from_secs(120),
         segment_fleet_conservation::<LaneSegment<LfSegment<u64>, 2>>,
-    );
-}
-
-#[test]
-fn lane_over_block_fleet_conservation() {
-    with_deadline(
-        Duration::from_secs(120),
-        segment_fleet_conservation::<LaneSegment<BlockSegment<u64>, 2>>,
     );
 }
 
@@ -192,11 +176,7 @@ fn lane_sweep_never_skips_a_loaded_lane() {
                     // Thieves run until the full checksum is accounted for:
                     // termination itself is the property under test.
                     while stolen.load(Ordering::Acquire) < total {
-                        let batch = seg.steal_half();
-                        let mut sum = 0u64;
-                        for v in batch.into_vec() {
-                            sum += v;
-                        }
+                        let sum: u64 = seg.steal_half().into_iter().sum();
                         if sum == 0 {
                             thread::yield_now();
                         } else {
