@@ -1,11 +1,9 @@
-//! The shared steal-engine: the concurrency protocol common to every pool
-//! frontend.
+//! The shared steal-engine: the concurrency protocol every pool runs.
 //!
-//! [`Pool`](crate::Pool) and [`KeyedPool`](crate::KeyedPool) expose
-//! different element models (anonymous vs keyed) and different search
-//! drivers (pluggable [`SearchPolicy`](crate::search::SearchPolicy) vs a
-//! built-in per-key linear walk), but underneath they run the *same*
-//! protocol from Kotz & Ellis (1989):
+//! [`Pool`](crate::Pool) is the one frontend; [`KeyedPool`](crate::KeyedPool)
+//! is a key API over a `Pool` of keyed segments. Both run the *same*
+//! protocol from Kotz & Ellis (1989), through one remove pass whose scope
+//! is set by a [`RemoveFilter`] (any element, or one key's elements):
 //!
 //! 1. **Registration** — processes register with the pool and get a dense
 //!    [`ProcId`] plus a home segment (`id mod segments`); deregistration
@@ -42,8 +40,10 @@ use parking_lot::Mutex;
 use crate::error::RemoveError;
 use crate::gate::{SearchGate, SearchGuard};
 use crate::ids::{ProcId, SegIdx};
+use crate::magazine::{Depot, MagazineCache, PopOutcome};
 use crate::notify::{Notifier, WaitOutcome};
 use crate::ops::WaitStrategy;
+use crate::segment::Segment;
 use crate::stats::{PoolStats, ProcStats};
 use crate::timing::{Resource, Timing};
 
@@ -132,12 +132,6 @@ impl<'a, T: Timing> OpTimer<'a, T> {
             timing.charge_work(me, overhead_ns);
         }
         OpTimer { timing, me, t0 }
-    }
-
-    /// The operation's start time (for frontends that account the whole
-    /// remove as search time).
-    pub fn t0(&self) -> u64 {
-        self.t0
     }
 
     fn elapsed(&self) -> u64 {
@@ -255,9 +249,7 @@ pub(crate) struct SearchSession<'a, T: Timing> {
     gate: &'a SearchGate,
     me: ProcId,
     home: SegIdx,
-    /// Number of probes that constitute one full lap over the victims this
-    /// frontend's search visits (all segments for policy searches, all
-    /// *remote* segments for the keyed ring walk).
+    /// Number of probes that constitute one full lap: every segment.
     lap: u64,
     examined: u64,
     nodes_visited: u64,
@@ -269,18 +261,9 @@ impl<'a, T: Timing> SearchSession<'a, T> {
     /// Begins a search: records the start time and marks the process as
     /// searching.
     pub fn begin(timing: &'a T, gate: &'a SearchGate, me: ProcId, home: SegIdx, lap: u64) -> Self {
-        let started_ns = timing.now(me);
-        SearchSession {
-            timing,
-            gate,
-            me,
-            home,
-            lap,
-            examined: 0,
-            nodes_visited: 0,
-            started_ns,
-            _guard: Some(gate.begin_search()),
-        }
+        let mut session = Self::begin_detached(timing, gate, me, home, lap);
+        session._guard = Some(gate.begin_search());
+        session
     }
 
     /// Begins a search that observes the gate but does **not** register as
@@ -451,10 +434,10 @@ impl<'a, T: Timing> SearchSession<'a, T> {
 /// boundary** (every [`SearchSession::lap`] fruitless probes) instead of
 /// polling straight through.
 ///
-/// Shared by both frontends — [`Pool`](crate::Pool) threads it into its
-/// [`SearchEnv`](crate::search::SearchEnv) and [`KeyedPool`](crate::KeyedPool)
-/// into its ring walk — so the waiting semantics of
-/// [`WaitStrategy`](crate::WaitStrategy) live in exactly one place:
+/// Every waiting remove — plain or key-scoped, blocking or polled —
+/// threads it into the pool's [`SearchEnv`](crate::search::SearchEnv), so
+/// the waiting semantics of [`WaitStrategy`](crate::WaitStrategy) live in
+/// exactly one place:
 ///
 /// * `Spin` / `Yield` / `Park` pause per the strategy between laps (the
 ///   pre-notify polling backoff, kept for virtual-time determinism and as
@@ -467,8 +450,7 @@ impl<'a, T: Timing> SearchSession<'a, T> {
 ///
 /// One controller spans the whole blocking remove: the budget and the
 /// backoff round survive a transient gate abort and the retry search that
-/// follows it ([`begin_pass`](Self::begin_pass) only resets the per-search
-/// lap counter).
+/// follows it.
 pub(crate) struct WaitCtl<'a> {
     notifier: &'a Notifier,
     strategy: WaitStrategy,
@@ -477,12 +459,6 @@ pub(crate) struct WaitCtl<'a> {
     deadline: Option<Instant>,
     /// Completed fruitless laps (drives `Park`'s exponential backoff).
     rounds: usize,
-    /// Abort-check invocations this search pass. Counted separately from
-    /// `session.examined()` because traversals spend checks on visits that
-    /// probe nothing (the keyed ring's home skip, the tree's phantom
-    /// leaves) — and a single-segment keyed ring probes nothing at all, so
-    /// boundaries must be reachable by calls alone when the lap is empty.
-    calls: u64,
     /// Set when the deadline expired; the owning remove maps the resulting
     /// abort to [`RemoveError::Timeout`](crate::RemoveError::Timeout).
     pub timed_out: bool,
@@ -526,7 +502,6 @@ impl<'a> WaitCtl<'a> {
             remaining: attempts,
             deadline,
             rounds: 0,
-            calls: 0,
             timed_out: false,
             budget_spent: false,
             boundary_abort: false,
@@ -546,13 +521,18 @@ impl<'a> WaitCtl<'a> {
     /// still maps to [`RemoveError::Timeout`](crate::RemoveError::Timeout).
     /// A fresh controller per poll is correct because no state needs to
     /// survive between polls except the registration ticket, which lives
-    /// in the caller's `slot`.
+    /// in the caller's `slot`. A ticket left there by the previous poll is
+    /// withdrawn first: a re-poll may carry a different waker (the task
+    /// migrated executors), and the armed waker must be the current one.
     pub fn new_poll(
         notifier: &'a Notifier,
         deadline: Option<Instant>,
         waker: &'a Waker,
         slot: &'a mut Option<u64>,
     ) -> Self {
+        if let Some(ticket) = slot.take() {
+            notifier.cancel_waker(ticket);
+        }
         let mut ctl = WaitCtl::new(notifier, WaitStrategy::Block, usize::MAX, deadline);
         ctl.poll = Some(PollWait { waker, slot });
         ctl
@@ -565,10 +545,18 @@ impl<'a> WaitCtl<'a> {
         std::mem::take(&mut self.pending)
     }
 
-    /// Resets the per-search lap counter before a retry search (the budget,
-    /// backoff round, and deadline deliberately carry over).
-    pub fn begin_pass(&mut self) {
-        self.calls = 0;
+    /// Cancels the waker registration this poll armed, if any. A pass can
+    /// reach a ready outcome after its lap boundary went pending: a close
+    /// landing between the boundary's re-check and the pass's abort
+    /// mapping resolves `Closed` with the registration still armed, and a
+    /// resolved poll must not leave its waker behind.
+    fn withdraw(&mut self) {
+        self.pending = false;
+        if let Some(poll) = self.poll.as_mut() {
+            if let Some(ticket) = poll.slot.take() {
+                self.notifier.cancel_waker(ticket);
+            }
+        }
     }
 
     /// Whether the last abort was a mere wait quantum ending (lap pause
@@ -627,14 +615,15 @@ impl<'a> WaitCtl<'a> {
         has_work: impl Fn() -> bool,
         woken: impl Fn() -> bool,
     ) -> bool {
-        self.calls += 1;
-        // The boundary needs a full lap by *both* counts: enough calls
-        // (reachable even when the lap holds zero probes) and enough
-        // examined probes (so the gate's lap-counted abort rule, evaluated
-        // by the caller before this hook, always gets the first word on a
-        // genuinely terminal lap — no-probe visits would otherwise let the
-        // boundary outrun it and burn budget on spurious pass restarts).
-        if self.calls < session.lap().max(1) || !session.full_lap_done() {
+        // The boundary needs a full lap of *examined* probes, not merely of
+        // abort checks: the gate's lap-counted abort rule, evaluated by the
+        // caller before this hook, must get the first word on a genuinely
+        // terminal lap, and policies spend checks on visits that probe
+        // nothing (the tree's phantom leaves) — counting those would let
+        // the boundary outrun the rule and burn budget on spurious pass
+        // restarts. Every policy checks after each probe, so a lap always
+        // reaches its boundary.
+        if !session.full_lap_done() {
             return false;
         }
         // A full fruitless lap is done: this is where a blocking remove
@@ -733,68 +722,24 @@ impl<'a> WaitCtl<'a> {
     }
 }
 
-/// The blocking-remove driver shared by every frontend primitive
-/// ([`Handle::remove_bounded`](crate::Handle), keyed
-/// `remove_key_bounded` / `remove_bounded`): runs search passes through
-/// `try_once` until an element arrives or one of the terminal outcomes
-/// fires, mapping the controller's state and the pool's lifecycle to the
-/// caller-facing error exactly once, in one place.
+/// The remove driver shared by every remove that waits — blocking
+/// ([`WaitCtl::new`]) and polled ([`WaitCtl::new_poll`]) alike: runs search
+/// passes through `try_once` until an element arrives or one of the
+/// terminal outcomes fires, mapping the controller's state and the pool's
+/// lifecycle to the caller-facing error exactly once, in one place.
 ///
 /// `try_once` performs one pass (local check + wait-aware search) and may
 /// zero its own per-op overhead after the first call; `drained` is the
-/// frontend's reachability snapshot (key-scoped for keyed removes) and
-/// `closed` the lifecycle bit. The terminal mapping uses the drained
-/// snapshot just taken plus a fresh `closed` read, so a close that an
-/// in-search check raced past is still honored.
-pub(crate) fn drive_blocking_remove<T>(
-    ctl: &mut WaitCtl<'_>,
-    mut try_once: impl FnMut(&mut WaitCtl<'_>) -> Result<T, RemoveError>,
-    drained: impl Fn() -> bool,
-    closed: impl Fn() -> bool,
-) -> Result<T, RemoveError> {
-    loop {
-        match try_once(ctl) {
-            Ok(item) => return Ok(item),
-            Err(RemoveError::Closed) => return Err(RemoveError::Closed),
-            Err(_) => {
-                if ctl.timed_out {
-                    return Err(RemoveError::Timeout);
-                }
-                if ctl.budget_spent {
-                    return Err(RemoveError::Aborted);
-                }
-                if ctl.take_boundary_abort() {
-                    // A wait quantum ended (pause done, or a wakeup saw
-                    // fresh work): the boundary already charged the
-                    // budget — just run the next local-first pass.
-                    continue;
-                }
-                if drained() {
-                    // §3.2 terminal: every registered process searching
-                    // with nothing reachable — no add can be in flight.
-                    return Err(if closed() { RemoveError::Closed } else { RemoveError::Aborted });
-                }
-                // Transient gate abort with elements still present: pay
-                // one lap of budget (and a polling pause) before the next
-                // pass, so `attempts` bounds this path too.
-                if ctl.on_transient_abort() {
-                    return Err(RemoveError::Aborted);
-                }
-            }
-        }
-    }
-}
-
-/// The poll-mode twin of [`drive_blocking_remove`], driving one
-/// `Future::poll` invocation: identical terminal mapping, plus the one
-/// outcome a blocking remove cannot have — the pass ended by arming a
-/// waker registration, which surfaces as `Poll::Pending`.
+/// reachability snapshot in the remove's scope (one key's, for a
+/// key-scoped remove) and `closed` the lifecycle bit. The terminal mapping
+/// uses the drained snapshot just taken plus a fresh `closed` read, so a
+/// close that an in-search check raced past is still honored.
 ///
-/// `ctl` must be a [`WaitCtl::new_poll`] controller. Ready results are
-/// terminal in the future sense: `Ok`, `Closed`, `Timeout`, and the §3.2
-/// `Aborted` all end the future; only `Pending` keeps it alive (with its
-/// waker armed on the notifier, so the resolving signal is never lost).
-pub(crate) fn drive_poll_remove<T>(
+/// Only a poll-mode controller can end a pass by arming a waker
+/// registration, which surfaces as `Poll::Pending`; a blocking remove
+/// always comes back `Ready`. Ready results are terminal: `Ok`, `Closed`,
+/// `Timeout`, and the §3.2 `Aborted`.
+pub(crate) fn drive_remove<T>(
     ctl: &mut WaitCtl<'_>,
     mut try_once: impl FnMut(&mut WaitCtl<'_>) -> Result<T, RemoveError>,
     drained: impl Fn() -> bool,
@@ -802,8 +747,14 @@ pub(crate) fn drive_poll_remove<T>(
 ) -> Poll<Result<T, RemoveError>> {
     loop {
         match try_once(ctl) {
-            Ok(item) => return Poll::Ready(Ok(item)),
-            Err(RemoveError::Closed) => return Poll::Ready(Err(RemoveError::Closed)),
+            Ok(item) => {
+                ctl.withdraw();
+                return Poll::Ready(Ok(item));
+            }
+            Err(RemoveError::Closed) => {
+                ctl.withdraw();
+                return Poll::Ready(Err(RemoveError::Closed));
+            }
             Err(_) => {
                 if ctl.take_pending() {
                     return Poll::Pending;
@@ -815,17 +766,111 @@ pub(crate) fn drive_poll_remove<T>(
                     return Poll::Ready(Err(RemoveError::Aborted));
                 }
                 if ctl.take_boundary_abort() {
+                    // A wait quantum ended (pause done, or a wakeup saw
+                    // fresh work): the boundary already charged the
+                    // budget — just run the next local-first pass.
                     continue;
                 }
                 if drained() {
+                    // §3.2 terminal: every registered process searching
+                    // with nothing reachable — no add can be in flight.
                     let err = if closed() { RemoveError::Closed } else { RemoveError::Aborted };
                     return Poll::Ready(Err(err));
                 }
+                // Transient gate abort with elements still present: pay
+                // one lap of budget (and a polling pause) before the next
+                // pass, so `attempts` bounds this path too.
                 if ctl.on_transient_abort() {
                     return Poll::Ready(Err(RemoveError::Aborted));
                 }
             }
         }
+    }
+}
+
+/// Which elements a remove accepts: the one hook through which the pool's
+/// single remove pass serves both any-element and key-scoped removes.
+///
+/// The pass asks the filter for every scope-dependent step — the local
+/// take, the victim steal, the depot-magazine match, the handle-magazine
+/// match — and for the scope of its wake filter and drained snapshot
+/// ([`holds`](Self::holds)). The zero-sized [`Any`] answers each with the
+/// plain segment operation, so the plain path monomorphizes to exactly the
+/// code it would be without the hook. The trait lives in a private module:
+/// it is sealed, and the keyed frontend supplies the only other instance.
+pub trait RemoveFilter<S: Segment> {
+    /// What a successful remove returns.
+    type Output;
+
+    /// Takes one accepted element from the searcher's home segment.
+    fn take_local(&self, seg: &S) -> Option<Self::Output>;
+
+    /// Steals from a non-empty victim segment: ⌈b/2⌉ of the `b` elements
+    /// it holds in this filter's scope, or an empty vector when it holds
+    /// none.
+    fn steal(&self, victim: &S) -> Vec<S::Item>;
+
+    /// Whether `seg` holds an element this filter accepts (a snapshot): the
+    /// wake filter of a waiting remove and the scope of its drained check.
+    fn holds(&self, seg: &S) -> bool;
+
+    /// Claims one full depot magazine, returning the accepted element (if
+    /// it held one) and the remainder the pass must bank into the home
+    /// segment before the depot gauge drops.
+    #[allow(clippy::type_complexity)]
+    fn raid(&self, depot: &Depot<S::Item>) -> Option<(Option<S::Item>, Option<Vec<S::Item>>)>;
+
+    /// Serves the remove from the handle's private magazines.
+    fn take_cached(
+        &self,
+        mag: &mut MagazineCache<S::Item>,
+        depot: &Depot<S::Item>,
+    ) -> PopOutcome<S::Item>;
+
+    /// Maps an accepted element to the remove's output.
+    fn output(item: S::Item) -> Self::Output;
+}
+
+/// The filter of a plain remove: any element will do.
+#[derive(Debug)]
+pub struct Any;
+
+/// The filter of a key-scoped remove on a keyed pool: only elements under
+/// the key qualify. `Q` is the key itself (futures own it) or a borrow of
+/// it (handle removes); the instance lives beside
+/// [`KeyedSegment`](crate::keyed::KeyedSegment).
+#[derive(Debug)]
+pub struct KeyFilter<Q>(pub(crate) Q);
+
+impl<S: Segment> RemoveFilter<S> for Any {
+    type Output = S::Item;
+
+    fn take_local(&self, seg: &S) -> Option<S::Item> {
+        seg.try_remove()
+    }
+
+    fn steal(&self, victim: &S) -> Vec<S::Item> {
+        victim.steal_half()
+    }
+
+    fn holds(&self, seg: &S) -> bool {
+        !seg.is_empty()
+    }
+
+    fn raid(&self, depot: &Depot<S::Item>) -> Option<(Option<S::Item>, Option<Vec<S::Item>>)> {
+        depot.raid().map(|(item, rest)| (Some(item), rest))
+    }
+
+    fn take_cached(
+        &self,
+        mag: &mut MagazineCache<S::Item>,
+        depot: &Depot<S::Item>,
+    ) -> PopOutcome<S::Item> {
+        mag.pop(depot)
+    }
+
+    fn output(item: S::Item) -> S::Item {
+        item
     }
 }
 
@@ -868,9 +913,7 @@ mod tests {
         OpTimer::start(&timing, me, 0).finish_add(&mut stats, false);
         OpTimer::start(&timing, me, 0).finish_add(&mut stats, true);
         OpTimer::start(&timing, me, 0).finish_local_remove(&mut stats);
-        let t = OpTimer::start(&timing, me, 0);
-        let search_t0 = t.t0();
-        t.finish_steal_remove(&mut stats, 5, search_t0);
+        OpTimer::start(&timing, me, 0).finish_steal_remove(&mut stats, 5, 0);
         OpTimer::start(&timing, me, 0).finish_hinted_remove(&mut stats);
         OpTimer::start(&timing, me, 0).finish_aborted(&mut stats);
         // Batch finishers: per-element counts, one histogram sample per

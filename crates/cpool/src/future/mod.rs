@@ -4,14 +4,20 @@
 //! which ties every blocked consumer to an OS thread — fine for a handful
 //! of workers, a non-starter for a server frontend holding thousands of
 //! idle consumers. This module is the waker half of that design:
-//! [`RemoveFuture`] (and its keyed siblings) run the **same search
-//! passes** as a blocking [`remove`](crate::PoolOps::remove) with
+//! [`RemoveFuture`] runs the **same search pass** as a blocking
+//! [`remove`](crate::PoolOps::remove) with
 //! [`WaitStrategy::Block`](crate::WaitStrategy::Block), but at a
 //! fruitless lap boundary they register their task's
 //! [`Waker`](std::task::Waker) on the notifier and return
 //! `Poll::Pending` instead of parking. One thread can then hold thousands
 //! of pending removes — see [`exec::Fleet`] — and the producer's add edge
 //! wakes exactly the tasks that were waiting.
+//!
+//! There is one future type. A keyed pool's futures are `RemoveFuture`s
+//! over its keyed segments: [`KeyedRemoveFuture`] accepts any element, and
+//! [`RemoveKeyFuture`] carries a key filter that scopes the search, the
+//! wake filter and the drained check to one key and resolves to the bare
+//! value.
 //!
 //! No runtime dependency: the futures are plain `std::future::Future`s
 //! (poll-based, `Unpin`, no timers, no I/O reactor), so they run under
@@ -75,12 +81,12 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::Instant;
 
-use crate::core::{drive_poll_remove, WaitCtl};
+use crate::core::{drive_remove, Any, KeyFilter, RemoveFilter, WaitCtl};
 use crate::error::RemoveError;
 use crate::ids::{ProcId, SegIdx};
-use crate::keyed::{Key, KeyedShared};
+use crate::keyed::KeyedSegment;
 use crate::pool::Shared;
-use crate::search::SearchPolicy;
+use crate::search::{LinearSearch, SearchPolicy};
 use crate::segment::Segment;
 use crate::stats::ProcStats;
 use crate::timing::{NullTiming, Timing};
@@ -88,17 +94,21 @@ use crate::timing::{NullTiming, Timing};
 /// A pending remove on a [`Pool`](crate::Pool): resolves to an element,
 /// or terminally to a [`RemoveError`] — created by
 /// [`Handle::remove_async`](crate::Handle::remove_async) /
-/// [`remove_timeout_async`](crate::Handle::remove_timeout_async).
+/// [`remove_timeout_async`](crate::Handle::remove_timeout_async), and by
+/// the [`KeyedHandle`](crate::KeyedHandle) async methods.
 ///
-/// See the [module docs](self) for the protocol. The future is `Unpin`
-/// (its state is ordinary owned data) and panics if polled again after
-/// resolving.
-pub struct RemoveFuture<S: Segment, P: SearchPolicy, T: Timing = NullTiming> {
+/// The last type parameter is the remove's scope: any element by default,
+/// or one key for [`RemoveKeyFuture`] (which then resolves to the value
+/// alone). See the [module docs](self) for the protocol. The future is
+/// `Unpin` (its state is ordinary owned data) and panics if polled again
+/// after resolving.
+pub struct RemoveFuture<S: Segment, P: SearchPolicy, T: Timing = NullTiming, F = Any> {
     shared: Arc<Shared<S, P, T>>,
     me: ProcId,
     home: SegIdx,
     state: P::State,
     stats: ProcStats,
+    filter: F,
     /// Armed waker-registration ticket, carried between polls so the next
     /// poll (or drop) can withdraw it.
     slot: Option<u64>,
@@ -106,16 +116,38 @@ pub struct RemoveFuture<S: Segment, P: SearchPolicy, T: Timing = NullTiming> {
     done: bool,
 }
 
+/// A pending any-key remove on a [`KeyedPool`](crate::KeyedPool),
+/// resolving to a `(key, value)` pair — created by
+/// [`remove_async`](crate::Handle::remove_async) /
+/// [`remove_timeout_async`](crate::Handle::remove_timeout_async) on a
+/// [`KeyedHandle`](crate::KeyedHandle), which dereferences to the plain
+/// handle.
+pub type KeyedRemoveFuture<K, V, T = NullTiming> =
+    RemoveFuture<KeyedSegment<K, V>, LinearSearch, T>;
+
+/// A pending key-scoped remove on a [`KeyedPool`](crate::KeyedPool),
+/// resolving to a value under one key — created by
+/// [`KeyedHandle::remove_key_async`](crate::KeyedHandle::remove_key_async) /
+/// [`remove_key_timeout_async`](crate::KeyedHandle::remove_key_timeout_async).
+///
+/// The future goes pending while *this key* has no reachable elements
+/// (other keys' traffic wakes it only to re-check and re-register), and
+/// the terminal `Closed`/`Aborted` mapping uses the key-scoped drained
+/// snapshot.
+pub type RemoveKeyFuture<K, V, T = NullTiming> =
+    RemoveFuture<KeyedSegment<K, V>, LinearSearch, T, KeyFilter<K>>;
+
 // No field is ever pinned: poll takes the future apart as plain owned
 // data, so the future is freely movable regardless of the policy state.
-impl<S: Segment, P: SearchPolicy, T: Timing> Unpin for RemoveFuture<S, P, T> {}
+impl<S: Segment, P: SearchPolicy, T: Timing, F> Unpin for RemoveFuture<S, P, T, F> {}
 
-impl<S: Segment, P: SearchPolicy, T: Timing> RemoveFuture<S, P, T> {
+impl<S: Segment, P: SearchPolicy, T: Timing, F> RemoveFuture<S, P, T, F> {
     pub(crate) fn new(
         shared: Arc<Shared<S, P, T>>,
         me: ProcId,
         home: SegIdx,
         deadline: Option<Instant>,
+        filter: F,
     ) -> Self {
         let state = shared.init_state(home);
         RemoveFuture {
@@ -124,6 +156,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> RemoveFuture<S, P, T> {
             home,
             state,
             stats: ProcStats::default(),
+            filter,
             slot: None,
             deadline,
             done: false,
@@ -137,7 +170,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> RemoveFuture<S, P, T> {
     }
 }
 
-impl<S: Segment, P: SearchPolicy, T: Timing> std::fmt::Debug for RemoveFuture<S, P, T> {
+impl<S: Segment, P: SearchPolicy, T: Timing, F> std::fmt::Debug for RemoveFuture<S, P, T, F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RemoveFuture")
             .field("proc", &self.me)
@@ -148,25 +181,23 @@ impl<S: Segment, P: SearchPolicy, T: Timing> std::fmt::Debug for RemoveFuture<S,
     }
 }
 
-impl<S: Segment, P: SearchPolicy, T: Timing> Future for RemoveFuture<S, P, T> {
-    type Output = Result<S::Item, RemoveError>;
+impl<S: Segment, P: SearchPolicy, T: Timing, F: RemoveFilter<S>> Future
+    for RemoveFuture<S, P, T, F>
+{
+    type Output = Result<F::Output, RemoveError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = Pin::into_inner(self);
         assert!(!this.done, "RemoveFuture polled after completion");
         let shared = Arc::clone(&this.shared);
         let notifier = shared.notifier();
-        if let Some(ticket) = this.slot.take() {
-            // A re-poll may carry a different waker (task migrated
-            // executors): retire the stale registration so the waker that
-            // gets armed below is always the current one.
-            notifier.cancel_waker(ticket);
-        }
         let mut ctl = WaitCtl::new_poll(notifier, this.deadline, cx.waker(), &mut this.slot);
-        let out = drive_poll_remove(
+        let filter = &this.filter;
+        let out = drive_remove(
             &mut ctl,
             |ctl| {
                 shared.remove_pass(
+                    filter,
                     this.me,
                     this.home,
                     &mut this.state,
@@ -176,7 +207,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Future for RemoveFuture<S, P, T> {
                     Some(ctl),
                 )
             },
-            || shared.drained(),
+            || shared.drained_for(filter),
             || notifier.is_closed(),
         );
         if out.is_ready() {
@@ -187,223 +218,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Future for RemoveFuture<S, P, T> {
     }
 }
 
-impl<S: Segment, P: SearchPolicy, T: Timing> Drop for RemoveFuture<S, P, T> {
-    fn drop(&mut self) {
-        if let Some(ticket) = self.slot.take() {
-            self.shared.notifier().cancel_waker(ticket);
-        }
-    }
-}
-
-/// A pending any-key remove on a [`KeyedPool`](crate::KeyedPool):
-/// resolves to a `(key, value)` pair — created by
-/// [`KeyedHandle::remove_async`](crate::KeyedHandle::remove_async) /
-/// [`remove_timeout_async`](crate::KeyedHandle::remove_timeout_async).
-///
-/// Same protocol and terminal semantics as [`RemoveFuture`]; the search
-/// is the keyed frontend's ring walk, resuming each poll from the ring
-/// position where the previous pass stopped.
-pub struct KeyedRemoveFuture<K: Key, V: Send + 'static, T: Timing = NullTiming> {
-    shared: Arc<KeyedShared<K, V, T>>,
-    me: ProcId,
-    home: SegIdx,
-    /// Ring cursor: where the next search pass resumes (the futures-side
-    /// analogue of the handle's `last_found_any`).
-    cursor: SegIdx,
-    stats: ProcStats,
-    slot: Option<u64>,
-    deadline: Option<Instant>,
-    done: bool,
-}
-
-impl<K: Key, V: Send + 'static, T: Timing> Unpin for KeyedRemoveFuture<K, V, T> {}
-
-impl<K: Key, V: Send + 'static, T: Timing> KeyedRemoveFuture<K, V, T> {
-    pub(crate) fn new(
-        shared: Arc<KeyedShared<K, V, T>>,
-        me: ProcId,
-        home: SegIdx,
-        deadline: Option<Instant>,
-    ) -> Self {
-        KeyedRemoveFuture {
-            shared,
-            me,
-            home,
-            cursor: home,
-            stats: ProcStats::default(),
-            slot: None,
-            deadline,
-            done: false,
-        }
-    }
-
-    /// The deadline after which the future resolves with
-    /// [`RemoveError::Timeout`], if one was set.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-}
-
-impl<K: Key, V: Send + 'static, T: Timing> std::fmt::Debug for KeyedRemoveFuture<K, V, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KeyedRemoveFuture")
-            .field("proc", &self.me)
-            .field("home", &self.home)
-            .field("registered", &self.slot.is_some())
-            .field("done", &self.done)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<K: Key, V: Send + 'static, T: Timing> Future for KeyedRemoveFuture<K, V, T> {
-    type Output = Result<(K, V), RemoveError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = Pin::into_inner(self);
-        assert!(!this.done, "KeyedRemoveFuture polled after completion");
-        let shared = Arc::clone(&this.shared);
-        let notifier = shared.notifier();
-        if let Some(ticket) = this.slot.take() {
-            notifier.cancel_waker(ticket);
-        }
-        let mut ctl = WaitCtl::new_poll(notifier, this.deadline, cx.waker(), &mut this.slot);
-        let out = drive_poll_remove(
-            &mut ctl,
-            |ctl| {
-                shared.remove_any_pass(
-                    this.me,
-                    this.home,
-                    &mut this.cursor,
-                    &mut this.stats,
-                    true,
-                    Some(ctl),
-                )
-            },
-            || shared.drained(),
-            || notifier.is_closed(),
-        );
-        if out.is_ready() {
-            this.done = true;
-            debug_assert!(this.slot.is_none(), "a resolved future holds no registration");
-        }
-        out
-    }
-}
-
-impl<K: Key, V: Send + 'static, T: Timing> Drop for KeyedRemoveFuture<K, V, T> {
-    fn drop(&mut self) {
-        if let Some(ticket) = self.slot.take() {
-            self.shared.notifier().cancel_waker(ticket);
-        }
-    }
-}
-
-/// A pending key-scoped remove on a [`KeyedPool`](crate::KeyedPool):
-/// resolves to a value under one specific key — created by
-/// [`KeyedHandle::remove_key_async`](crate::KeyedHandle::remove_key_async) /
-/// [`remove_key_timeout_async`](crate::KeyedHandle::remove_key_timeout_async).
-///
-/// Same protocol as [`RemoveFuture`], with the wait scoped to the key:
-/// the future goes pending while *this key* has no reachable elements
-/// (other keys' traffic wakes it only to re-check and re-register), and
-/// the terminal `Closed`/`Aborted` mapping uses the key-scoped drained
-/// snapshot.
-pub struct RemoveKeyFuture<K: Key, V: Send + 'static, T: Timing = NullTiming> {
-    shared: Arc<KeyedShared<K, V, T>>,
-    me: ProcId,
-    home: SegIdx,
-    key: K,
-    cursor: SegIdx,
-    stats: ProcStats,
-    slot: Option<u64>,
-    deadline: Option<Instant>,
-    done: bool,
-}
-
-impl<K: Key, V: Send + 'static, T: Timing> Unpin for RemoveKeyFuture<K, V, T> {}
-
-impl<K: Key, V: Send + 'static, T: Timing> RemoveKeyFuture<K, V, T> {
-    pub(crate) fn new(
-        shared: Arc<KeyedShared<K, V, T>>,
-        me: ProcId,
-        home: SegIdx,
-        key: K,
-        deadline: Option<Instant>,
-    ) -> Self {
-        RemoveKeyFuture {
-            shared,
-            me,
-            home,
-            key,
-            cursor: home,
-            stats: ProcStats::default(),
-            slot: None,
-            deadline,
-            done: false,
-        }
-    }
-
-    /// The key this future removes under.
-    pub fn key(&self) -> &K {
-        &self.key
-    }
-
-    /// The deadline after which the future resolves with
-    /// [`RemoveError::Timeout`], if one was set.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-}
-
-impl<K: Key, V: Send + 'static, T: Timing> std::fmt::Debug for RemoveKeyFuture<K, V, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoveKeyFuture")
-            .field("proc", &self.me)
-            .field("home", &self.home)
-            .field("registered", &self.slot.is_some())
-            .field("done", &self.done)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<K: Key, V: Send + 'static, T: Timing> Future for RemoveKeyFuture<K, V, T> {
-    type Output = Result<V, RemoveError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = Pin::into_inner(self);
-        assert!(!this.done, "RemoveKeyFuture polled after completion");
-        let shared = Arc::clone(&this.shared);
-        let notifier = shared.notifier();
-        if let Some(ticket) = this.slot.take() {
-            notifier.cancel_waker(ticket);
-        }
-        let mut ctl = WaitCtl::new_poll(notifier, this.deadline, cx.waker(), &mut this.slot);
-        let key = &this.key;
-        let out = drive_poll_remove(
-            &mut ctl,
-            |ctl| {
-                shared.remove_key_pass(
-                    this.me,
-                    this.home,
-                    key,
-                    &mut this.cursor,
-                    &mut this.stats,
-                    true,
-                    Some(ctl),
-                )
-            },
-            || shared.drained_key(key),
-            || notifier.is_closed(),
-        );
-        if out.is_ready() {
-            this.done = true;
-            debug_assert!(this.slot.is_none(), "a resolved future holds no registration");
-        }
-        out
-    }
-}
-
-impl<K: Key, V: Send + 'static, T: Timing> Drop for RemoveKeyFuture<K, V, T> {
+impl<S: Segment, P: SearchPolicy, T: Timing, F> Drop for RemoveFuture<S, P, T, F> {
     fn drop(&mut self) {
         if let Some(ticket) = self.slot.take() {
             self.shared.notifier().cancel_waker(ticket);

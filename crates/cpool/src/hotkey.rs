@@ -120,8 +120,6 @@ struct Window<K> {
 /// window serializes a small, configurable fraction of traffic.
 pub(crate) struct HotKeyDetector<K> {
     cfg: HotKeyConfig,
-    promote_count: u32,
-    demote_count: u32,
     inner: Mutex<Window<K>>,
 }
 
@@ -130,8 +128,6 @@ impl<K: Ord + Clone> HotKeyDetector<K> {
         let mut ring = Vec::new();
         ring.resize_with(cfg.window, || None);
         HotKeyDetector {
-            promote_count: cfg.promote_count(),
-            demote_count: cfg.demote_count(),
             cfg,
             inner: Mutex::new(Window { ring, cursor: 0, counts: BTreeMap::new() }),
         }
@@ -139,16 +135,6 @@ impl<K: Ord + Clone> HotKeyDetector<K> {
 
     pub(crate) fn cfg(&self) -> &HotKeyConfig {
         &self.cfg
-    }
-
-    /// Count at which [`observe`](Self::observe) deems a key hot.
-    pub(crate) fn promote_count(&self) -> u32 {
-        self.promote_count
-    }
-
-    /// Count below which a promoted key has cooled off.
-    pub(crate) fn demote_count(&self) -> u32 {
-        self.demote_count
     }
 
     /// Records one sampled key, evicting the oldest sample, and returns the

@@ -7,6 +7,14 @@
 //!
 //! # Design
 //!
+//! A keyed pool *is* a plain pool: [`KeyedPool`] is a key API over a
+//! [`Pool`] of [`KeyedSegment`]s searched by [`LinearSearch`], and
+//! [`KeyedHandle`] wraps that pool's [`Handle`]. Registration, magazines,
+//! blocking and async removes, close, drain and statistics are the plain
+//! pool's own code. A key-scoped remove runs the same remove pass under a
+//! key filter, which scopes the local take, the victim steal, the depot
+//! match, the wake filter and the drained check to one key.
+//!
 //! Each segment partitions its contents by key (a `BTreeMap` of buckets —
 //! ordered, so iteration is deterministic and virtual-time runs reproduce).
 //! The concurrent-pool locality story carries over per key:
@@ -26,29 +34,26 @@
 //! better performance" (§5), and the tree's round counters do not compose
 //! with per-key emptiness (a subtree empty *for key A* is not empty for
 //! key B, so one shared counter per node would mislead other keys'
-//! searches — one tree per key would cost `k · n` counters). Each process
-//! remembers where it last found each key, the keyed analogue of
-//! `LastFound`.
+//! searches — one tree per key would cost `k · n` counters). A process has
+//! one ring cursor — the linear search's `LastFound` — shared by its
+//! any-key and key-scoped searches, and a lap probes every segment, home
+//! first, exactly as in the plain pool.
 //!
-//! Transfers ride the same batch-typed machinery as the plain pool
-//! ([`transfer`](crate::transfer)): steals fill a recycled vector shell
-//! from a pool-wide free list and refills return it, and a bucket emptied
-//! by removes or steals stays resident so its capacity (and its map node)
-//! is reused by the next add of that key — the steady-state keyed
-//! steal/refill cycle allocates nothing (asserted by
-//! `tests/alloc_steal.rs`). Residency is bounded per segment (64 buckets;
-//! beyond that emptied buckets are evicted so occupancy scans stay
-//! bounded under ephemeral-key workloads); a [`PoolOps::drain`] releases
-//! everything.
+//! Transfers are vectors of `(key, value)` pairs, like every segment's
+//! ([`transfer`](crate::transfer)): a stolen element carries a clone of its
+//! key. Steals fill a recycled vector shell from a pool-wide free list and
+//! refills return it, and a bucket emptied by removes or steals stays
+//! resident so its capacity (and its map node) is reused by the next add
+//! of that key — the steady-state keyed steal/refill cycle allocates
+//! nothing (asserted by `tests/alloc_steal.rs`). Residency is bounded per
+//! segment (64 buckets; beyond that emptied buckets are evicted so
+//! occupancy scans stay bounded under ephemeral-key workloads); a
+//! [`PoolOps::drain`] releases everything.
 //!
 //! Livelock on exhausted keys is broken by the same §3.2 gate as the plain
 //! pool: a keyed search aborts when every registered process is searching —
 //! whether they starve on the same key or different ones, nobody can be
-//! adding, so waiting is futile. Registration, the lap-counted gate-abort,
-//! the two-phase steal-half transfer, and stats plumbing are all delegated
-//! to the shared `core` engine — the same hot path the plain
-//! [`Pool`](crate::Pool) runs — so this module only supplies the keyed
-//! element model and the per-key search cursors.
+//! adding, so waiting is futile.
 //!
 //! # Hot keys
 //!
@@ -63,11 +68,12 @@
 //!   threshold, its bucket is **split** into `K` independently locked
 //!   sub-shards (`HotBucket`, crate-internal): adds rotate across sub-shards, removes
 //!   drain any, and handles cache the split bucket so hot-key traffic
-//!   bypasses the segment lock entirely;
+//!   bypasses the segment lock entirely (after the magazine check, before
+//!   the segment);
 //! * steal-half applies **sub-shard-wise** (⌈n/2⌉ of each sub-shard, one
 //!   shard lock at a time, never the segment lock), filling the same
-//!   recycled transfer shells as plain steals — the zero-copy batch
-//!   currency and the alloc-free steady state are preserved;
+//!   recycled transfer shells as plain steals — the alloc-free steady
+//!   state is preserved;
 //! * the largest-bucket victim policy for anonymous steals becomes
 //!   **heat-weighted**: victims rank by `len × (1 + boost · heat)`, so
 //!   thieves relieve the actual contention point, not just the deepest
@@ -78,22 +84,28 @@
 //!   unaffected: segment occupancy counts include sub-shard contents, so
 //!   drained snapshots and wake filters see through a split.
 
+use std::borrow::Borrow;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
-use crate::core::{OpTimer, Registry, SearchSession, WaitCtl};
+use crate::core::{KeyFilter, OpTimer, RemoveFilter};
 use crate::error::RemoveError;
+use crate::future::{KeyedRemoveFuture, RemoveKeyFuture};
 use crate::hotkey::{HotKeyConfig, HotKeyDetector};
-use crate::ids::{ProcId, SegIdx};
-use crate::magazine::{CacheOutcome, Depot, MagazineCache, PopOutcome};
-use crate::notify::Notifier;
+use crate::ids::ProcId;
+#[cfg(test)]
+use crate::ids::SegIdx;
+use crate::magazine::{Depot, MagazineCache, PopOutcome};
 use crate::ops::{PoolOps, SmallDrain, WaitStrategy};
-use crate::segment::steal_count;
-use crate::stats::{PoolStats, ProcStats};
+use crate::pool::{Handle, Pool, PoolBuilder};
+use crate::search::LinearSearch;
+use crate::segment::{steal_count, Segment};
+use crate::stats::PoolStats;
 use crate::timing::{NullTiming, Resource, Timing};
 use crate::transfer::{FreeList, SHELL_SPILL_MAX, SHELL_SPILL_MIN};
 
@@ -105,7 +117,7 @@ impl<K: Ord + Clone + Send + 'static> Key for K {}
 /// Default for the most buckets a segment keeps resident while *empty*
 /// (see [`KeyedPoolBuilder::resident_buckets_max`]). Above the bound, an
 /// emptied bucket is evicted instead: occupancy scans
-/// ([`KeyedSegment::remove_any`]) walk past resident empties, so an
+/// ([`Segment::try_remove`] on a [`KeyedSegment`]) walk past resident empties, so an
 /// unbounded ephemeral-key workload would otherwise degrade every remove
 /// (and its lock hold time) linearly with the keys ever seen. Live
 /// (non-empty) buckets never count against the bound.
@@ -221,6 +233,25 @@ impl<V> HotBucket<V> {
         self.shards.len() - 1
     }
 
+    /// Seals every sub-shard under its lock and moves the contents out.
+    /// A sealed shard refuses pushes, so stale cached handles fall back to
+    /// the segment-locked path and nothing lands in the orphaned bucket.
+    fn seal(&self) -> Vec<V> {
+        let mut merged: Vec<V> = Vec::new();
+        for shard in self.shards.iter() {
+            let mut items = shard.items.lock();
+            shard.sealed.store(true, Ordering::Release);
+            shard.len.store(0, Ordering::Release);
+            if merged.is_empty() {
+                // Reuse the first non-empty shard's grown capacity.
+                merged = std::mem::take(&mut items);
+            } else {
+                merged.append(&mut items);
+            }
+        }
+        merged
+    }
+
     /// Occupancy: the sum of the per-shard mirrors. Exact when quiescent,
     /// momentarily stale against in-flight shard operations — callers
     /// treat it as a hint (steal sizing, emptiness scans that re-check).
@@ -229,10 +260,11 @@ impl<V> HotBucket<V> {
     }
 }
 
-/// Outcome of a pop attempt against a [`HotBucket`].
+/// Outcome of a pop attempt against a bucket.
 enum HotPop<V> {
     Got(V),
-    /// Every sub-shard was empty (and unsealed): the bucket holds nothing.
+    /// The bucket holds nothing (every sub-shard of a split one was empty
+    /// and unsealed).
     Empty,
     /// A sealed sub-shard was seen: the bucket is being (or has been)
     /// demoted — retake the segment-locked path.
@@ -258,47 +290,28 @@ struct Buckets<K, V> {
 }
 
 impl<K: Key, V> Buckets<K, V> {
-    /// Routes an add under the segment lock: plain (or new) buckets take
-    /// the value here; a hot bucket hands back its split handle so the
-    /// push happens under a sub-shard lock instead.
+    /// Routes an add under the segment lock: the plain bucket for `key` —
+    /// created if absent, a resident empty brought back into use — or, for
+    /// a split key, the split bucket's handle (with the key), so the push
+    /// happens under a sub-shard lock instead.
     #[allow(clippy::type_complexity)]
-    fn route_add(&mut self, key: K, value: V) -> Result<(), (K, Arc<HotBucket<V>>, V)> {
-        if let Some(bucket) = self.map.get_mut(&key) {
-            match bucket {
-                Bucket::Plain(bucket) => {
-                    if bucket.is_empty() {
-                        self.empties -= 1;
-                    }
-                    bucket.push(value);
+    fn bucket_for(&mut self, key: K) -> Result<&mut Vec<V>, (K, Arc<HotBucket<V>>)> {
+        let entry = match self.map.entry(key) {
+            Entry::Vacant(entry) => entry.insert(Bucket::Plain(Vec::new())),
+            Entry::Occupied(entry) => {
+                if let Bucket::Hot(hot) = entry.get() {
+                    return Err((entry.key().clone(), Arc::clone(hot)));
                 }
-                Bucket::Hot(hot) => return Err((key, Arc::clone(hot), value)),
+                let bucket = entry.into_mut();
+                if bucket.is_empty() {
+                    self.empties -= 1;
+                }
+                bucket
             }
-            return Ok(());
-        }
-        self.map.insert(key, Bucket::Plain(vec![value]));
-        Ok(())
-    }
-
-    /// The plain bucket for `key`, creating it if absent and fixing the
-    /// empties count if a resident empty bucket is being brought back into
-    /// use. Callers route hot buckets away first.
-    fn plain_bucket_for(&mut self, key: K) -> &mut Vec<V> {
-        match self.map.entry(key) {
-            std::collections::btree_map::Entry::Occupied(entry) => match entry.into_mut() {
-                Bucket::Plain(bucket) => {
-                    if bucket.is_empty() {
-                        self.empties -= 1;
-                    }
-                    bucket
-                }
-                Bucket::Hot(_) => unreachable!("hot buckets are routed before plain_bucket_for"),
-            },
-            std::collections::btree_map::Entry::Vacant(entry) => {
-                match entry.insert(Bucket::Plain(Vec::new())) {
-                    Bucket::Plain(bucket) => bucket,
-                    Bucket::Hot(_) => unreachable!("entry was just inserted as Plain"),
-                }
-            }
+        };
+        match entry {
+            Bucket::Plain(bucket) => Ok(bucket),
+            Bucket::Hot(_) => unreachable!("split buckets returned above"),
         }
     }
 
@@ -349,63 +362,99 @@ impl<K: Key, V> Buckets<K, V> {
             Some(Bucket::Hot(hot)) => Arc::clone(hot),
             _ => return false,
         };
-        let mut merged: Vec<V> = Vec::new();
-        for shard in hot.shards.iter() {
-            let mut items = shard.items.lock();
-            shard.sealed.store(true, Ordering::Release);
-            shard.len.store(0, Ordering::Release);
-            if merged.is_empty() {
-                // Reuse the first non-empty shard's grown capacity.
-                merged = std::mem::take(&mut items);
-            } else {
-                merged.append(&mut items);
-            }
-        }
+        let merged = hot.seal();
         self.hot_keys.retain(|k| k != key);
         self.demotions += 1;
-        if merged.is_empty() {
-            self.map.remove(key);
-            if self.empties >= self.resident_max {
-                self.evictions += 1;
-            } else {
-                self.map.insert(key.clone(), Bucket::Plain(merged));
-                self.empties += 1;
-            }
-        } else {
-            self.map.insert(key.clone(), Bucket::Plain(merged));
-        }
+        let emptied = merged.is_empty();
+        self.map.insert(key.clone(), Bucket::Plain(merged));
+        self.settle_emptied(key, emptied);
         true
     }
 }
 
-/// One segment: per-key buckets plus a cached total for cheap emptiness
-/// probes.
+/// State shared by the segments of one keyed pool: the transfer-shell
+/// cache, and the hot-key detector with its knobs.
+struct KeyedFamily<K, V> {
+    /// Pool-wide cache of spare transfer vectors: steals fill a recycled
+    /// shell, refills return it (see [`transfer`](crate::transfer)).
+    shells: FreeList<Vec<(K, V)>>,
+    /// The sampled key-frequency window (`None` when hot-key detection is
+    /// disabled); only sampled operations touch its lock.
+    detector: Option<HotKeyDetector<K>>,
+    /// The hot-key knobs, kept even when detection is off so manual
+    /// [`KeyedPool::promote_key`] calls know the sub-shard count.
+    hot_cfg: HotKeyConfig,
+}
+
+impl<K: Key, V> KeyedFamily<K, V> {
+    fn new(segments: usize, hotkey: Option<HotKeyConfig>) -> Arc<Self> {
+        Arc::new(KeyedFamily {
+            shells: FreeList::new(CACHED_SHELLS_PER_SEGMENT * segments.max(1) + 2),
+            detector: hotkey.map(HotKeyDetector::new),
+            hot_cfg: hotkey.unwrap_or_default(),
+        })
+    }
+}
+
+/// Transfer shells a keyed pool retains per segment (see
+/// [`FreeList`]; the steal/refill cycle keeps at most one in flight per
+/// concurrent search).
+const CACHED_SHELLS_PER_SEGMENT: usize = 2;
+
+/// A key-bucketed pool segment: the element store of a [`KeyedPool`], and a
+/// [`Segment`] over `(key, value)` pairs in its own right.
+///
+/// As a `Segment`, [`try_remove`](Segment::try_remove) takes an element of
+/// the first non-empty key, [`steal_half`](Segment::steal_half) takes
+/// ⌈b/2⌉ of the largest (heat-weighted) bucket `b`, and
+/// [`add_bulk`](Segment::add_bulk) lands a mixed-key batch under one lock.
 ///
 /// A bucket emptied by removes or steals **stays resident** (an empty
 /// vector under its key) instead of being evicted from the map — up to
-/// `resident_max` empty buckets (default [`RESIDENT_BUCKETS_MAX`]): the
+/// `resident_max` empty buckets (default 64, see
+/// [`KeyedPoolBuilder::resident_buckets_max`]): the
 /// next add or refill of that key reuses the bucket's grown capacity and
 /// the map's existing node, so the steady-state keyed steal/refill cycle
 /// allocates nothing. Beyond the bound emptied buckets are evicted
 /// (ephemeral-key workloads trade the allocation-free property for bounded
-/// scans); [`drain_all`](Self::drain_all) releases everything. All
+/// scans); [`drain_all`](Segment::drain_all) releases everything. All
 /// occupancy checks skip empty buckets.
 ///
 /// Hot (split) buckets are handled in two halves: locating one takes the
 /// segment lock briefly (or no lock at all, via a handle's cache), while
-/// the actual element movement happens under the sub-shard locks — see
-/// [`HotBucket`].
-struct KeyedSegment<K, V> {
+/// the actual element movement happens under the sub-shard locks.
+///
+/// ```
+/// use cpool::keyed::KeyedSegment;
+/// use cpool::Segment;
+///
+/// let seg: KeyedSegment<&str, u32> = KeyedSegment::new();
+/// seg.add_bulk(vec![("a", 1), ("b", 2), ("b", 3), ("b", 4)]);
+/// let stolen = seg.steal_half();
+/// assert_eq!(stolen.len(), 2, "ceil(3/2) of the largest bucket");
+/// assert!(stolen.iter().all(|(key, _)| *key == "b"));
+/// ```
+pub struct KeyedSegment<K, V> {
     buckets: Mutex<Buckets<K, V>>,
     len: AtomicUsize,
     /// Lock-free mirror of `buckets.hot_keys.len()` (written while the
     /// buckets lock is held): the hysteresis sweep's early-out, so a
     /// segment with no split buckets pays one relaxed load per sample.
     hot_gauge: AtomicUsize,
+    family: Arc<KeyedFamily<K, V>>,
+}
+
+impl<K, V> std::fmt::Debug for KeyedSegment<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KeyedSegment")
+            .field("len", &self.len.load(Ordering::Relaxed))
+            .field("hot_buckets", &self.hot_gauge.load(Ordering::Relaxed))
+            .finish_non_exhaustive()
+    }
 }
 
 impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
-    fn new(resident_max: usize) -> Self {
+    fn with_family(family: Arc<KeyedFamily<K, V>>, resident_max: usize) -> Self {
         KeyedSegment {
             buckets: Mutex::new(Buckets {
                 map: BTreeMap::new(),
@@ -418,14 +467,13 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
             }),
             len: AtomicUsize::new(0),
             hot_gauge: AtomicUsize::new(0),
+            family,
         }
     }
 
-    fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    fn key_len(&self, key: &K) -> usize {
+    /// Elements of one key in this segment (snapshot; takes the segment
+    /// lock).
+    pub fn key_len(&self, key: &K) -> usize {
         self.buckets.lock().map.get(key).map_or(0, Bucket::len)
     }
 
@@ -489,53 +537,37 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
         }
     }
 
-    /// Deals a bulk refill across unsealed sub-shards in balanced chunks.
-    /// Returns `false` — with the undelivered remainder left in `values` —
-    /// only when every sub-shard is sealed (a demotion raced).
-    fn hot_push_bulk(&self, hot: &HotBucket<V>, values: &mut Vec<V>) -> bool {
-        let k = hot.shards.len();
-        let start = hot.add_cursor.fetch_add(1, Ordering::Relaxed) % k;
-        let per = values.len().div_ceil(k).max(1);
-        let mut pushed = 0;
-        let mut progressed = true;
-        while !values.is_empty() && progressed {
-            progressed = false;
-            for i in 0..k {
-                if values.is_empty() {
-                    break;
-                }
-                let shard = &hot.shards[(start + i) % k];
-                let mut items = shard.items.lock();
-                if shard.sealed.load(Ordering::Relaxed) {
-                    continue;
-                }
-                let take = per.min(values.len());
-                let at = values.len() - take;
-                items.extend(values.drain(at..));
-                shard.len.store(items.len(), Ordering::Release);
-                self.len.fetch_add(take, Ordering::AcqRel);
-                pushed += take;
-                progressed = true;
+    /// Deals a single-key bulk refill across the sub-shards in balanced
+    /// chunks. Returns `false` — with the undelivered remainder left in
+    /// `pairs` — when it meets a sealed sub-shard: a demotion is sealing
+    /// the whole bucket, and the caller reroutes the rest through the map.
+    fn hot_push_bulk(&self, hot: &HotBucket<V>, pairs: &mut Vec<(K, V)>) -> bool {
+        let per = pairs.len().div_ceil(hot.shards.len());
+        let start = hot.add_cursor.fetch_add(1, Ordering::Relaxed);
+        for i in 0..hot.shards.len() {
+            let shard = &hot.shards[(start + i) & hot.mask()];
+            let mut items = shard.items.lock();
+            if shard.sealed.load(Ordering::Relaxed) {
+                return false;
             }
+            let take = per.min(pairs.len());
+            items.extend(pairs.drain(pairs.len() - take..).map(|(_, value)| value));
+            shard.len.store(items.len(), Ordering::Release);
+            self.len.fetch_add(take, Ordering::AcqRel);
         }
-        let _ = pushed;
-        values.is_empty()
+        true
     }
 
     /// Steal-half, sub-shard-wise: ⌈s/2⌉ of *each* unsealed sub-shard
     /// (`s` = its size), one shard lock at a time and never the segment
     /// lock, into one transfer shell — so a hot victim keeps serving its
     /// other sub-shards while being robbed.
-    fn hot_steal_half(&self, hot: &HotBucket<V>, shells: &FreeList<Vec<V>>) -> Vec<V> {
+    fn hot_steal_half(&self, key: &K, hot: &HotBucket<V>) -> Vec<(K, V)> {
         let expected = steal_count(hot.len());
         if expected == 0 {
             return Vec::new();
         }
-        let mut stolen = if expected < SHELL_SPILL_MIN {
-            Vec::with_capacity(expected)
-        } else {
-            shells.take().unwrap_or_default()
-        };
+        let mut stolen = self.transfer_shell(expected);
         for shard in hot.shards.iter() {
             if shard.sealed.load(Ordering::Acquire) || shard.len.load(Ordering::Acquire) == 0 {
                 continue;
@@ -549,116 +581,104 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
                 continue;
             }
             let at = items.len() - take;
-            stolen.extend(items.drain(at..));
+            stolen.extend(items.drain(at..).map(|value| (key.clone(), value)));
             shard.len.store(items.len(), Ordering::Release);
             self.len.fetch_sub(take, Ordering::AcqRel);
         }
         stolen
     }
 
-    fn add(&self, key: K, value: V) {
-        let mut key = key;
-        let mut value = value;
-        loop {
-            let (k, hot, v) = {
-                let mut buckets = self.buckets.lock();
-                match buckets.route_add(key, value) {
-                    Ok(()) => {
-                        self.len.fetch_add(1, Ordering::AcqRel);
-                        return;
-                    }
-                    Err(routed) => routed,
-                }
-            };
-            let at = hot.add_cursor.fetch_add(1, Ordering::Relaxed);
-            match self.hot_push(&hot, v, at) {
-                Ok(()) => return,
-                // Sealed: the bucket was demoted between routing and the
-                // push — the retried route lands in the plain bucket.
-                Err(v) => {
-                    key = k;
-                    value = v;
-                }
-            }
+    /// An empty transfer vector for a steal of about `n` elements: a
+    /// recycled shell for bulk steals, while tiny ones take the
+    /// allocator's small-size fast path instead of a free-list round trip.
+    fn transfer_shell(&self, n: usize) -> Vec<(K, V)> {
+        if n < SHELL_SPILL_MIN {
+            Vec::with_capacity(n)
+        } else {
+            self.family.shells.take().unwrap_or_default()
         }
     }
 
-    fn add_bulk(&self, key: &K, mut values: Vec<V>, shells: &FreeList<Vec<V>>) {
-        while !values.is_empty() {
+    /// Lands a batch whose pairs all carry `key` (every steal transfer):
+    /// one bucket append under the segment lock, or a sub-shard-wise deal
+    /// off it when the bucket is split.
+    fn add_bulk_key(&self, key: &K, pairs: &mut Vec<(K, V)>) {
+        while !pairs.is_empty() {
             let hot = {
                 let mut buckets = self.buckets.lock();
-                match buckets.map.get(key) {
-                    Some(Bucket::Hot(hot)) => Arc::clone(hot),
-                    _ => {
-                        let n = values.len();
-                        buckets.plain_bucket_for(key.clone()).append(&mut values);
+                match buckets.bucket_for(key.clone()) {
+                    Ok(bucket) => {
+                        let n = pairs.len();
+                        bucket.extend(pairs.drain(..).map(|(_, value)| value));
                         self.len.fetch_add(n, Ordering::AcqRel);
-                        break;
+                        return;
                     }
+                    Err((_, hot)) => hot,
                 }
             };
             // Sub-shard-wise refill, off the segment lock; a raced
             // demotion (all shards sealed) loops back to the plain path.
-            if self.hot_push_bulk(&hot, &mut values) {
-                break;
+            if self.hot_push_bulk(&hot, pairs) {
+                return;
             }
-        }
-        // The drained transfer shell goes back to the pool for the next
-        // bulk steal (lock released first; recycling needs no segment
-        // state). Undersized shells are not worth the round trip;
-        // oversized ones would pin unbounded memory.
-        if (SHELL_SPILL_MIN..=SHELL_SPILL_MAX).contains(&values.capacity()) {
-            shells.put(values);
         }
     }
 
-    fn remove_any(&self) -> Option<(K, V)> {
-        loop {
-            let (key, hot) = {
-                let mut buckets = self.buckets.lock();
-                // First *non-empty* key in order: deterministic; empty
-                // buckets are resident capacity, not occupancy.
-                let (key, bucket) =
-                    buckets.map.iter_mut().find(|(_, bucket)| !bucket.is_empty())?;
-                let key = key.clone();
-                match bucket {
-                    Bucket::Plain(bucket) => {
-                        let value = bucket.pop().expect("bucket observed non-empty");
-                        let emptied = bucket.is_empty();
-                        buckets.settle_emptied(&key, emptied);
-                        self.len.fetch_sub(1, Ordering::AcqRel);
-                        return Some((key, value));
+    /// Adds a mixed-key batch under one lock acquisition; values bound for
+    /// hot buckets are pushed afterwards under their sub-shard locks.
+    fn add_bulk_mixed(&self, pairs: &mut Vec<(K, V)>) {
+        let mut deferred: Vec<(K, Arc<HotBucket<V>>, V)> = Vec::new();
+        let mut landed = 0;
+        {
+            let mut buckets = self.buckets.lock();
+            for (key, value) in pairs.drain(..) {
+                match buckets.bucket_for(key) {
+                    Ok(bucket) => {
+                        bucket.push(value);
+                        landed += 1;
                     }
-                    Bucket::Hot(hot) => (key, Arc::clone(hot)),
+                    Err((key, hot)) => deferred.push((key, hot, value)),
                 }
-            };
-            let start = hot.remove_cursor.fetch_add(1, Ordering::Relaxed);
-            match self.hot_pop(&hot, start) {
-                HotPop::Got(value) => return Some((key, value)),
-                // Raced empty or mid-demotion: rescan — the occupancy
-                // mirror has moved on, so the scan converges.
-                HotPop::Empty | HotPop::Sealed => continue,
+            }
+            // Publish under the lock, like every other mutation: a remover
+            // could otherwise take these elements and decrement the mirror
+            // first, wrapping it to a huge "non-empty" reading that keeps
+            // waiting searches spinning on a segment that holds nothing.
+            if landed > 0 {
+                self.len.fetch_add(landed, Ordering::AcqRel);
             }
         }
+        for (key, hot, value) in deferred {
+            let at = hot.add_cursor.fetch_add(1, Ordering::Relaxed);
+            if let Err(value) = self.hot_push(&hot, value, at) {
+                // Sealed (demotion raced): the retried add routes plain.
+                self.add((key, value));
+            }
+        }
+    }
+
+    /// Pops one element of `key`'s bucket, consuming the segment lock: a
+    /// plain bucket pops under it (settling residency and the cached
+    /// length), a split one pops sub-shard-wise once it is released.
+    fn pop_bucket(&self, mut buckets: MutexGuard<'_, Buckets<K, V>>, key: &K) -> HotPop<V> {
+        let hot = match buckets.map.get_mut(key) {
+            Some(Bucket::Hot(hot)) => Arc::clone(hot),
+            Some(Bucket::Plain(bucket)) => {
+                let Some(value) = bucket.pop() else { return HotPop::Empty };
+                let emptied = bucket.is_empty();
+                buckets.settle_emptied(key, emptied);
+                self.len.fetch_sub(1, Ordering::AcqRel);
+                return HotPop::Got(value);
+            }
+            None => return HotPop::Empty,
+        };
+        drop(buckets);
+        self.hot_pop(&hot, hot.remove_cursor.fetch_add(1, Ordering::Relaxed))
     }
 
     fn remove_key(&self, key: &K) -> Option<V> {
         loop {
-            let hot = {
-                let mut buckets = self.buckets.lock();
-                match buckets.map.get_mut(key)? {
-                    Bucket::Plain(bucket) => {
-                        let value = bucket.pop()?;
-                        let emptied = bucket.is_empty();
-                        buckets.settle_emptied(key, emptied);
-                        self.len.fetch_sub(1, Ordering::AcqRel);
-                        return Some(value);
-                    }
-                    Bucket::Hot(hot) => Arc::clone(hot),
-                }
-            };
-            let start = hot.remove_cursor.fetch_add(1, Ordering::Relaxed);
-            match self.hot_pop(&hot, start) {
+            match self.pop_bucket(self.buckets.lock(), key) {
                 HotPop::Got(value) => return Some(value),
                 HotPop::Empty => return None,
                 // Demotion moved the elements back to a plain bucket.
@@ -667,229 +687,40 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
         }
     }
 
-    /// The shared tail of both keyed steals *for plain buckets*: drains
-    /// ⌈b/2⌉ of `key`'s bucket into a transfer vector (a recycled shell
-    /// for bulk steals; tiny ones take the allocator's small-size fast
-    /// path instead of a free-list round trip), settles bucket residency,
-    /// and fixes the cached length. `None` if the bucket is absent, empty,
-    /// or hot (callers route hot buckets to
-    /// [`hot_steal_half`](Self::hot_steal_half)).
-    fn steal_tail(
-        &self,
-        buckets: &mut Buckets<K, V>,
-        key: &K,
-        shells: &FreeList<Vec<V>>,
-    ) -> Option<Vec<V>> {
-        let Bucket::Plain(bucket) = buckets.map.get_mut(key)? else {
-            return None;
+    /// Steals ⌈b/2⌉ of `key`'s bucket (`b` = its size) into a transfer
+    /// vector, consuming the segment lock: a plain bucket drains under it
+    /// (settling residency and the cached length), a split one is robbed
+    /// sub-shard-wise once it is released. Empty if the bucket is absent
+    /// or empty.
+    fn steal_bucket(&self, mut buckets: MutexGuard<'_, Buckets<K, V>>, key: &K) -> Vec<(K, V)> {
+        let hot = match buckets.map.get_mut(key) {
+            Some(Bucket::Hot(hot)) => Arc::clone(hot),
+            Some(Bucket::Plain(bucket)) if !bucket.is_empty() => {
+                let take = steal_count(bucket.len());
+                let at = bucket.len() - take;
+                let mut stolen = self.transfer_shell(take);
+                stolen.extend(bucket.drain(at..).map(|value| (key.clone(), value)));
+                let emptied = bucket.is_empty();
+                buckets.settle_emptied(key, emptied);
+                self.len.fetch_sub(take, Ordering::AcqRel);
+                return stolen;
+            }
+            _ => return Vec::new(),
         };
-        let take = steal_count(bucket.len());
-        if take == 0 {
-            return None;
-        }
-        let at = bucket.len() - take;
-        let mut stolen = if take < SHELL_SPILL_MIN {
-            Vec::with_capacity(take)
-        } else {
-            shells.take().unwrap_or_default()
-        };
-        stolen.extend(bucket.drain(at..));
-        let emptied = bucket.is_empty();
-        buckets.settle_emptied(key, emptied);
-        self.len.fetch_sub(take, Ordering::AcqRel);
-        Some(stolen)
+        drop(buckets);
+        self.hot_steal_half(key, &hot)
     }
 
-    /// Steals ⌈b/2⌉ of the `key` bucket (`b` = its size), filling a
-    /// recycled transfer shell. Hot buckets are robbed sub-shard-wise,
-    /// off the segment lock.
-    fn steal_half_key(&self, key: &K, shells: &FreeList<Vec<V>>) -> Vec<V> {
-        let hot = {
-            let mut buckets = self.buckets.lock();
-            match buckets.map.get(key) {
-                Some(Bucket::Hot(hot)) => Arc::clone(hot),
-                _ => return self.steal_tail(&mut buckets, key, shells).unwrap_or_default(),
-            }
-        };
-        self.hot_steal_half(&hot, shells)
+    /// Steals ⌈b/2⌉ of the `key` bucket — see
+    /// [`steal_bucket`](Self::steal_bucket).
+    fn steal_half_key(&self, key: &K) -> Vec<(K, V)> {
+        self.steal_bucket(self.buckets.lock(), key)
     }
 
-    /// Steals ⌈b/2⌉ of the highest-scoring non-empty bucket (ties:
-    /// smallest key), returning the key alongside the elements. The score
-    /// is heat-weighted occupancy — `len × (1 + boost × heat)` — so under
-    /// skew the *contended* bucket is robbed, which both balances load and
-    /// seeds the thief's own reserve of the key most likely to be asked
-    /// for next; with no heat it degenerates to the plain largest-bucket
-    /// rule.
-    fn steal_half_largest(
-        &self,
-        shells: &FreeList<Vec<V>>,
-        heat: &dyn Fn(&K) -> f64,
-    ) -> Option<(K, Vec<V>)> {
-        let (key, hot) = {
-            let mut buckets = self.buckets.lock();
-            let score = |key: &K, bucket: &Bucket<V>| {
-                bucket.len() as f64 * (1.0 + HEAT_STEAL_BOOST * heat(key))
-            };
-            let key = buckets
-                .map
-                .iter()
-                .filter(|(_, bucket)| !bucket.is_empty())
-                .max_by(|a, b| {
-                    score(a.0, a.1)
-                        .partial_cmp(&score(b.0, b.1))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| b.0.cmp(a.0))
-                })?
-                .0
-                .clone();
-            match buckets.map.get(&key) {
-                Some(Bucket::Hot(hot)) => (key, Arc::clone(hot)),
-                _ => {
-                    let stolen = self
-                        .steal_tail(&mut buckets, &key, shells)
-                        .expect("key just observed non-empty");
-                    return Some((key, stolen));
-                }
-            }
-        };
-        let stolen = self.hot_steal_half(&hot, shells);
-        Some((key, stolen))
-    }
-
-    /// Adds a mixed-key batch under one lock acquisition (the keyed side of
-    /// `PoolOps::add_batch`); values bound for hot buckets are pushed
-    /// afterwards under their sub-shard locks.
-    fn add_bulk_mixed(&self, pairs: Vec<(K, V)>) {
-        if pairs.is_empty() {
-            return;
-        }
-        let mut deferred: Vec<(K, Arc<HotBucket<V>>, V)> = Vec::new();
-        let mut landed = 0;
-        {
-            let mut buckets = self.buckets.lock();
-            for (key, value) in pairs {
-                match buckets.route_add(key, value) {
-                    Ok(()) => landed += 1,
-                    Err(routed) => deferred.push(routed),
-                }
-            }
-        }
-        if landed > 0 {
-            self.len.fetch_add(landed, Ordering::AcqRel);
-        }
-        for (key, hot, value) in deferred {
-            let at = hot.add_cursor.fetch_add(1, Ordering::Relaxed);
-            if let Err(value) = self.hot_push(&hot, value, at) {
-                // Sealed (demotion raced): the retried add routes plain.
-                self.add(key, value);
-            }
-        }
-    }
-
-    /// Removes up to `n` elements (first keys first, deterministically)
-    /// under one lock acquisition; hot buckets drain sub-shard-wise under
-    /// their shard locks (segment lock before shard lock is the crate-wide
-    /// order).
-    fn remove_up_to(&self, n: usize) -> Vec<(K, V)> {
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut buckets = self.buckets.lock();
-        let mut out = Vec::new();
-        let mut newly_empty = 0;
-        'keys: for (key, bucket) in buckets.map.iter_mut() {
-            match bucket {
-                Bucket::Plain(bucket) => {
-                    let had_elements = !bucket.is_empty();
-                    while let Some(value) = bucket.pop() {
-                        out.push((key.clone(), value));
-                        if out.len() >= n {
-                            if bucket.is_empty() && had_elements {
-                                newly_empty += 1;
-                            }
-                            break 'keys;
-                        }
-                    }
-                    if had_elements {
-                        newly_empty += 1;
-                    }
-                }
-                Bucket::Hot(hot) => {
-                    'shards: for shard in hot.shards.iter() {
-                        let mut items = shard.items.lock();
-                        if shard.sealed.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        while let Some(value) = items.pop() {
-                            out.push((key.clone(), value));
-                            if out.len() >= n {
-                                shard.len.store(items.len(), Ordering::Release);
-                                break 'shards;
-                            }
-                        }
-                        shard.len.store(items.len(), Ordering::Release);
-                    }
-                    if out.len() >= n {
-                        break 'keys;
-                    }
-                    // An emptied hot bucket stays resident (and split)
-                    // until the detector demotes it.
-                }
-            }
-        }
-        buckets.empties += newly_empty;
-        if buckets.empties > buckets.resident_max {
-            // Evict only the excess above the bound, matching the per-op
-            // policy in `settle_emptied` — a batched remove must not purge
-            // every hot key's retained capacity in one sweep. Only empty
-            // *plain* buckets are candidates.
-            let mut excess = buckets.empties - buckets.resident_max;
-            let mut evicted = 0;
-            buckets.map.retain(|_, bucket| {
-                if excess > 0 && matches!(bucket, Bucket::Plain(b) if b.is_empty()) {
-                    excess -= 1;
-                    evicted += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            buckets.evictions += evicted;
-            buckets.empties = buckets.resident_max;
-        }
-        self.len.fetch_sub(out.len(), Ordering::AcqRel);
-        out
-    }
-
-    /// Removes every element under one lock acquisition. This is the one
-    /// operation that also evicts the resident buckets (and their retained
-    /// capacity): a drain is a teardown, not steady-state traffic. Hot
-    /// buckets are sealed shard-by-shard so a stale cached handle cannot
-    /// push into an orphaned bucket — its retry re-routes through the map.
-    fn drain_all(&self) -> Vec<(K, V)> {
-        let mut buckets = self.buckets.lock();
-        let mut out = Vec::new();
-        for (key, bucket) in std::mem::take(&mut buckets.map) {
-            match bucket {
-                Bucket::Plain(values) => {
-                    out.extend(values.into_iter().map(|v| (key.clone(), v)));
-                }
-                Bucket::Hot(hot) => {
-                    for shard in hot.shards.iter() {
-                        let mut items = shard.items.lock();
-                        shard.sealed.store(true, Ordering::Release);
-                        shard.len.store(0, Ordering::Release);
-                        out.extend(items.drain(..).map(|v| (key.clone(), v)));
-                    }
-                }
-            }
-        }
-        buckets.empties = 0;
-        buckets.hot_keys.clear();
-        self.hot_gauge.store(0, Ordering::Release);
-        self.len.fetch_sub(out.len(), Ordering::AcqRel);
-        out
+    /// The key's observed heat in `[0, 1]` (0 when detection is off) —
+    /// the weight the steal sweep folds into victim ranking.
+    fn heat(&self, key: &K) -> f64 {
+        self.family.detector.as_ref().map_or(0.0, |d| d.heat(key))
     }
 
     /// Splits `key`'s bucket into `k` sub-shards (idempotent); returns the
@@ -944,300 +775,231 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
     }
 }
 
-/// Transfer shells a keyed pool retains per segment (see
-/// [`FreeList`]; the steal/refill cycle keeps at most one in flight per
-/// concurrent search).
-const CACHED_SHELLS_PER_SEGMENT: usize = 2;
+impl<K: Key, V: Send + 'static> Segment for KeyedSegment<K, V> {
+    type Item = (K, V);
 
-pub(crate) struct KeyedShared<K, V, T> {
-    segments: Box<[KeyedSegment<K, V>]>,
-    /// Pool-wide cache of spare transfer vectors: steals fill a recycled
-    /// shell, refills return it (see [`transfer`](crate::transfer)).
-    shells: FreeList<Vec<V>>,
-    /// The sampled key-frequency window (`None` when hot-key detection is
-    /// disabled); only sampled operations touch its lock.
-    detector: Option<HotKeyDetector<K>>,
-    /// The hot-key knobs, kept even when detection is off so manual
-    /// [`KeyedPool::promote_key`] calls know the sub-shard count.
-    hot_cfg: HotKeyConfig,
-    /// The magazine exchange point, present when built with a non-zero
-    /// [`KeyedPoolBuilder::handle_cache`] depth. Keyed magazines carry
-    /// whole `(key, value)` pairs — a magazine is *not* key-homogeneous.
-    depot: Option<Depot<(K, V)>>,
-    /// The configured magazine depth (elements per magazine; zero = off).
-    handle_cache: usize,
-    registry: Registry,
-    timing: T,
+    /// A standalone segment: default residency bound, no hot-key detector
+    /// (every heat is 0, so steals take the plain largest bucket).
+    fn new() -> Self {
+        Self::with_family(KeyedFamily::new(1, None), RESIDENT_BUCKETS_MAX)
+    }
+
+    /// One pool's segments share a single transfer-shell cache.
+    fn new_family(count: usize) -> Vec<Self> {
+        let family = KeyedFamily::new(count, None);
+        (0..count).map(|_| Self::with_family(Arc::clone(&family), RESIDENT_BUCKETS_MAX)).collect()
+    }
+
+    fn add(&self, (mut key, mut value): (K, V)) {
+        loop {
+            let (k, hot) = {
+                let mut buckets = self.buckets.lock();
+                match buckets.bucket_for(key) {
+                    Ok(bucket) => {
+                        bucket.push(value);
+                        self.len.fetch_add(1, Ordering::AcqRel);
+                        return;
+                    }
+                    Err(routed) => routed,
+                }
+            };
+            let at = hot.add_cursor.fetch_add(1, Ordering::Relaxed);
+            match self.hot_push(&hot, value, at) {
+                Ok(()) => return,
+                // Sealed: the bucket was demoted between routing and the
+                // push — the retried route lands in the plain bucket.
+                Err(v) => {
+                    key = k;
+                    value = v;
+                }
+            }
+        }
+    }
+
+    fn try_remove(&self) -> Option<(K, V)> {
+        loop {
+            let buckets = self.buckets.lock();
+            // First *non-empty* key in order: deterministic; empty buckets
+            // are resident capacity, not occupancy.
+            let key = buckets.map.iter().find(|(_, bucket)| !bucket.is_empty())?.0.clone();
+            // A split bucket can race empty or mid-demotion: rescan — the
+            // occupancy mirror has moved on, so the scan converges.
+            if let HotPop::Got(value) = self.pop_bucket(buckets, &key) {
+                return Some((key, value));
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
+    }
+
+    /// Steals ⌈b/2⌉ of the highest-scoring non-empty bucket (ties:
+    /// smallest key). The score is heat-weighted occupancy —
+    /// `len × (1 + boost × heat)` — so under skew the *contended* bucket
+    /// is robbed, which both balances load and seeds the thief's own
+    /// reserve of the key most likely to be asked for next; with no heat
+    /// it degenerates to the plain largest-bucket rule.
+    fn steal_half(&self) -> Vec<(K, V)> {
+        let buckets = self.buckets.lock();
+        let score = |key: &K, bucket: &Bucket<V>| {
+            bucket.len() as f64 * (1.0 + HEAT_STEAL_BOOST * self.heat(key))
+        };
+        let Some(key) = buckets
+            .map
+            .iter()
+            .filter(|(_, bucket)| !bucket.is_empty())
+            .max_by(|a, b| {
+                score(a.0, a.1)
+                    .partial_cmp(&score(b.0, b.1))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then_with(|| b.0.cmp(a.0))
+            })
+            .map(|(key, _)| key.clone())
+        else {
+            return Vec::new();
+        };
+        self.steal_bucket(buckets, &key)
+    }
+
+    fn add_bulk(&self, mut batch: Vec<(K, V)>) {
+        if let Some((first, _)) = batch.first() {
+            if batch.iter().all(|(key, _)| key == first) {
+                let key = first.clone();
+                self.add_bulk_key(&key, &mut batch);
+            } else {
+                self.add_bulk_mixed(&mut batch);
+            }
+        }
+        // The drained transfer shell goes back to the pool for the next
+        // bulk steal (lock released first). Undersized shells are not worth
+        // the round trip; oversized ones would pin unbounded memory.
+        if (SHELL_SPILL_MIN..=SHELL_SPILL_MAX).contains(&batch.capacity()) {
+            self.family.shells.put(batch);
+        }
+    }
+
+    /// Removes up to `n` elements (first keys first, deterministically)
+    /// under one lock acquisition; hot buckets drain sub-shard-wise under
+    /// their shard locks (segment lock before shard lock is the crate-wide
+    /// order). Emptied plain buckets settle under the per-op residency
+    /// policy; emptied hot buckets stay split until the detector demotes
+    /// them.
+    fn remove_up_to(&self, n: usize) -> Vec<(K, V)> {
+        let mut out = Vec::new();
+        let mut emptied = Vec::new();
+        let mut buckets = self.buckets.lock();
+        for (key, bucket) in buckets.map.iter_mut() {
+            match bucket {
+                Bucket::Plain(values) if !values.is_empty() => {
+                    let at = values.len().saturating_sub(n - out.len());
+                    out.extend(values.drain(at..).map(|value| (key.clone(), value)));
+                    if values.is_empty() {
+                        emptied.push(key.clone());
+                    }
+                }
+                Bucket::Plain(_) => {}
+                Bucket::Hot(hot) => {
+                    for shard in hot.shards.iter() {
+                        let mut items = shard.items.lock();
+                        if !shard.sealed.load(Ordering::Relaxed) {
+                            let at = items.len().saturating_sub(n - out.len());
+                            out.extend(items.drain(at..).map(|value| (key.clone(), value)));
+                            shard.len.store(items.len(), Ordering::Release);
+                        }
+                    }
+                }
+            }
+            if out.len() == n {
+                break;
+            }
+        }
+        for key in &emptied {
+            buckets.settle_emptied(key, true);
+        }
+        self.len.fetch_sub(out.len(), Ordering::AcqRel);
+        out
+    }
+
+    /// Removes every element under one lock acquisition. This is the one
+    /// operation that also evicts the resident buckets (and their retained
+    /// capacity): a drain is a teardown, not steady-state traffic. Hot
+    /// buckets are sealed shard-by-shard so a stale cached handle cannot
+    /// push into an orphaned bucket — its retry re-routes through the map.
+    fn drain_all(&self) -> Vec<(K, V)> {
+        let mut buckets = self.buckets.lock();
+        let mut out = Vec::new();
+        for (key, bucket) in std::mem::take(&mut buckets.map) {
+            let values = match bucket {
+                Bucket::Plain(values) => values,
+                Bucket::Hot(hot) => hot.seal(),
+            };
+            out.extend(values.into_iter().map(|v| (key.clone(), v)));
+        }
+        buckets.empties = 0;
+        buckets.hot_keys.clear();
+        self.hot_gauge.store(0, Ordering::Release);
+        self.len.fetch_sub(out.len(), Ordering::AcqRel);
+        out
+    }
 }
 
-impl<K: Key, V: Send + 'static, T: Timing> KeyedShared<K, V, T> {
-    /// The key's observed heat in `[0, 1]` (0 when detection is off) —
-    /// the weight the steal sweep folds into victim ranking.
-    fn heat(&self, key: &K) -> f64 {
-        self.detector.as_ref().map_or(0.0, |d| d.heat(key))
+/// The key instance of the remove pass's filter: every step is scoped to
+/// one key, and a remove resolves to the bare value.
+impl<K: Key, V: Send + 'static, Q: Borrow<K>> RemoveFilter<KeyedSegment<K, V>> for KeyFilter<Q> {
+    type Output = V;
+
+    fn take_local(&self, seg: &KeyedSegment<K, V>) -> Option<V> {
+        seg.remove_key(self.0.borrow())
     }
 
-    /// The pool's notifier (the wait/wake and close subsystem).
-    pub(crate) fn notifier(&self) -> &Notifier {
-        self.registry.notifier()
+    fn steal(&self, victim: &KeyedSegment<K, V>) -> Vec<(K, V)> {
+        victim.steal_half_key(self.0.borrow())
     }
 
-    /// Whether every pool-visible store is empty — all segments plus the
-    /// magazine depot's stashed gauge — the any-key drained snapshot the
-    /// blocking and polling drivers use to finalize `Closed`. Elements
-    /// cached in handles' magazines are deliberately not counted (see
-    /// [`magazine`](crate::magazine)).
-    pub(crate) fn drained(&self) -> bool {
-        self.segments.iter().all(|s| s.len() == 0)
-            && self.depot.as_ref().is_none_or(|d| d.stashed() == 0)
+    fn holds(&self, seg: &KeyedSegment<K, V>) -> bool {
+        seg.key_len(self.0.borrow()) > 0
     }
 
-    /// Whether no segment holds an element of `key` — the key-scoped
-    /// drained snapshot (other keys' residue does not keep a keyed remove
-    /// alive). Depot magazines are mixed-key, so a non-empty depot keeps
-    /// every key alive *conservatively*: each retry's raid banks one
-    /// magazine into segments (where `key_len` can see its contents), so
-    /// the snapshot converges in at most ring-capacity retries.
-    pub(crate) fn drained_key(&self, key: &K) -> bool {
-        self.segments.iter().all(|s| s.key_len(key) == 0)
-            && self.depot.as_ref().is_none_or(|d| d.stashed() == 0)
-    }
-
-    /// Maps a search abort to its caller-facing error, with the drained
-    /// check scoped by `drained`: on a closed pool whose relevant elements
-    /// are gone the abort is final ([`RemoveError::Closed`]); otherwise
-    /// the §3.2 [`RemoveError::Aborted`] semantics apply.
-    fn abort_error(&self, drained: impl Fn() -> bool) -> RemoveError {
-        if self.registry.notifier().is_closed() && drained() {
-            RemoveError::Closed
-        } else {
-            RemoveError::Aborted
+    /// Claims one full magazine and scans it for the key. Match or not,
+    /// the rest goes back to the pass to bank into the home segment (so
+    /// `key_len` can see any copies it held and the conservative scoped
+    /// drained snapshot makes progress).
+    fn raid(&self, depot: &Depot<(K, V)>) -> Option<(Option<(K, V)>, Option<Vec<(K, V)>>)> {
+        let mut mag = depot.take_full()?;
+        let key = self.0.borrow();
+        let hit = mag.iter().rposition(|(k, _)| k == key).map(|at| mag.swap_remove(at));
+        if hit.is_some() {
+            depot.unstash(1);
         }
+        if mag.is_empty() {
+            depot.put_shell(mag);
+            return Some((hit, None));
+        }
+        Some((hit, Some(mag)))
     }
 
-    /// One any-key remove pass — local fast path, then the largest-bucket
-    /// ring steal — shared by [`KeyedHandle::try_remove_any`] (attached,
-    /// `detached = false`) and [`KeyedRemoveFuture`](crate::KeyedRemoveFuture)
-    /// (`detached = true`: the search observes the §3.2 gate without
-    /// registering on it — see
-    /// [`SearchSession::begin_detached`]).
-    ///
-    /// `cursor` is the linear `LastFound` state: the pass resumes from it
-    /// and persists its progress back through it, so retries (and
-    /// successive polls of one future) keep walking the ring instead of
-    /// re-probing the same prefix.
-    pub(crate) fn remove_any_pass(
+    fn take_cached(
         &self,
-        me: ProcId,
-        home: SegIdx,
-        cursor: &mut SegIdx,
-        stats: &mut ProcStats,
-        detached: bool,
-        mut wait: Option<&mut WaitCtl<'_>>,
-    ) -> Result<(K, V), RemoveError> {
-        let timer = OpTimer::start(&self.timing, me, 0);
-        self.timing.charge(me, Resource::Segment(home));
-        if let Some(found) = self.segments[home.index()].remove_any() {
-            timer.finish_local_remove(stats);
-            return Ok(found);
-        }
-        // Depot raid: before paying for a ring search, try to claim a full
-        // magazine other handles flushed. One pair satisfies this remove;
-        // the remainder is banked into the home segment (and consumers
-        // woken) *before* the gauge drops, so a concurrent drained snapshot
-        // never under-counts.
-        if let Some(depot) = &self.depot {
-            if let Some((pair, rest)) = depot.raid() {
-                if let Some(rest) = rest {
-                    let n = rest.len();
-                    self.timing.charge(me, Resource::Segment(home));
-                    self.segments[home.index()].add_bulk_mixed(rest);
-                    self.registry.notifier().notify_all();
-                    depot.unstash(n);
-                }
-                stats.depot_exchanges += 1;
-                timer.finish_depot_remove(stats);
-                return Ok(pair);
-            }
-        }
-        if let Some(ctl) = wait.as_deref_mut() {
-            ctl.begin_pass();
-        }
-
-        let mut session = begin_keyed_search(self, me, home, detached);
-        let segments = &self.segments;
-        // The engine's probe moves an anonymous batch; the victim's bucket
-        // key travels beside it in this slot (set by the drain closure, read
-        // by the refill closure and the success path) so elements need not
-        // carry per-element key clones.
-        let stolen_key: std::cell::RefCell<Option<K>> = std::cell::RefCell::new(None);
-        let result = ring_search(
-            &mut session,
-            segments.len(),
-            *cursor,
-            |session, victim| {
-                session.probe(
-                    victim,
-                    || {
-                        // Segment-level empty skip: the atomic occupancy
-                        // mirror rules out any non-empty bucket without
-                        // taking the victim's lock.
-                        if segments[victim.index()].len() == 0 {
-                            return Vec::new();
-                        }
-                        match segments[victim.index()]
-                            .steal_half_largest(&self.shells, &|k| self.heat(k))
-                        {
-                            Some((key, values)) => {
-                                *stolen_key.borrow_mut() = Some(key);
-                                values
-                            }
-                            None => Vec::new(),
-                        }
-                    },
-                    |rest| {
-                        let key = stolen_key.borrow();
-                        let key = key.as_ref().expect("refill follows a successful drain");
-                        segments[home.index()].add_bulk(key, rest, &self.shells);
-                    },
-                )
-            },
-            |c| *cursor = c,
-            RingCtx {
-                notifier: self.registry.notifier(),
-                has_work: &|| {
-                    segments.iter().any(|s| s.len() > 0)
-                        || self.depot.as_ref().is_some_and(|d| d.stashed() > 0)
-                },
-                wait,
-            },
-        );
-        stats.segments_examined += session.examined();
-        drop(session);
-        match result {
-            Some((value, stolen, victim)) => {
-                *cursor = victim;
-                let key = stolen_key.into_inner().expect("steal recorded its key");
-                let search_t0 = timer.t0();
-                timer.finish_steal_remove(stats, stolen, search_t0);
-                Ok((key, value))
-            }
-            None => {
-                timer.finish_aborted(stats);
-                Err(self.abort_error(|| self.drained()))
-            }
-        }
+        mag: &mut MagazineCache<(K, V)>,
+        _depot: &Depot<(K, V)>,
+    ) -> PopOutcome<(K, V)> {
+        let key = self.0.borrow();
+        mag.take_matching(|(k, _)| k == key).map_or(PopOutcome::Miss, PopOutcome::Hit)
     }
 
-    /// One key-scoped remove pass — the per-key analogue of
-    /// [`remove_any_pass`](Self::remove_any_pass), stealing half of a
-    /// remote `key` bucket; the wake filter and drained snapshot are
-    /// scoped to `key`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn remove_key_pass(
-        &self,
-        me: ProcId,
-        home: SegIdx,
-        key: &K,
-        cursor: &mut SegIdx,
-        stats: &mut ProcStats,
-        detached: bool,
-        mut wait: Option<&mut WaitCtl<'_>>,
-    ) -> Result<V, RemoveError> {
-        let timer = OpTimer::start(&self.timing, me, 0);
-        self.timing.charge(me, Resource::Segment(home));
-        if let Some(value) = self.segments[home.index()].remove_key(key) {
-            timer.finish_local_remove(stats);
-            return Ok(value);
-        }
-        // Depot raid, keyed flavour: claim one full magazine and scan it for
-        // `key`. Match or not, the rest is banked into the home segment (so
-        // `key_len` can see any copies it held and the conservative
-        // [`drained_key`](Self::drained_key) snapshot makes progress) before
-        // the gauge drops.
-        if let Some(depot) = &self.depot {
-            if let Some(mut mag) = depot.take_full() {
-                let n = mag.len();
-                let hit = mag.iter().rposition(|(k, _)| k == key).map(|at| mag.swap_remove(at).1);
-                if !mag.is_empty() {
-                    self.timing.charge(me, Resource::Segment(home));
-                    self.segments[home.index()].add_bulk_mixed(mag);
-                    self.registry.notifier().notify_all();
-                } else {
-                    depot.put_shell(mag);
-                }
-                depot.unstash(n);
-                stats.depot_exchanges += 1;
-                if let Some(value) = hit {
-                    timer.finish_depot_remove(stats);
-                    return Ok(value);
-                }
-            }
-        }
-        if let Some(ctl) = wait.as_deref_mut() {
-            ctl.begin_pass();
-        }
-
-        let mut session = begin_keyed_search(self, me, home, detached);
-        let segments = &self.segments;
-        let result = ring_search(
-            &mut session,
-            segments.len(),
-            *cursor,
-            |session, victim| {
-                session.probe(
-                    victim,
-                    || {
-                        // Same lock-free empty skip as the anonymous steal:
-                        // a segment with no elements at all certainly has no
-                        // `key` bucket worth locking for.
-                        if segments[victim.index()].len() == 0 {
-                            return Vec::new();
-                        }
-                        segments[victim.index()].steal_half_key(key, &self.shells)
-                    },
-                    |rest| segments[home.index()].add_bulk(key, rest, &self.shells),
-                )
-            },
-            |c| *cursor = c,
-            RingCtx {
-                notifier: self.registry.notifier(),
-                // A keyed wait only resumes probing for elements it can
-                // actually take: other keys' traffic re-parks it. Depot
-                // magazines are mixed-key, so a non-empty depot counts as
-                // possible work (the retry's raid resolves the question).
-                has_work: &|| {
-                    segments.iter().any(|s| s.key_len(key) > 0)
-                        || self.depot.as_ref().is_some_and(|d| d.stashed() > 0)
-                },
-                wait,
-            },
-        );
-        stats.segments_examined += session.examined();
-        drop(session);
-        match result {
-            Some((value, stolen, victim)) => {
-                *cursor = victim;
-                let search_t0 = timer.t0();
-                timer.finish_steal_remove(stats, stolen, search_t0);
-                Ok(value)
-            }
-            None => {
-                timer.finish_aborted(stats);
-                Err(self.abort_error(|| self.drained_key(key)))
-            }
-        }
+    fn output((_, value): (K, V)) -> V {
+        value
     }
 }
 
 /// Configures and builds a [`KeyedPool`] — the keyed counterpart of
-/// [`PoolBuilder`](crate::PoolBuilder), replacing the former ad-hoc
-/// `new`/`with_timing` constructor pair.
+/// [`PoolBuilder`].
 ///
 /// Like `PoolBuilder`, the segment count is stated once ([`new`](Self::new))
 /// and the cost model is a statically-dispatched type parameter rebound by
-/// [`timing`](Self::timing). The keyed pool's search is the built-in
-/// per-key linear walk (see the [module docs](self)), so there is no policy
+/// [`timing`](Self::timing). The keyed pool always searches with
+/// [`LinearSearch`] (see the [module docs](self)), so there is no policy
 /// choice to configure.
 ///
 /// ```
@@ -1336,7 +1098,7 @@ impl<T: Timing> KeyedPoolBuilder<T> {
     /// Gives every [`KeyedHandle`] a two-magazine element cache of `depth`
     /// `(key, value)` pairs per magazine (default 0 = off), exchanged
     /// through a shared per-pool depot — the keyed counterpart of
-    /// [`PoolBuilder::handle_cache`](crate::PoolBuilder::handle_cache).
+    /// [`PoolBuilder::handle_cache`].
     ///
     /// Keyed magazines are *mixed-key*: a cached pair is invisible to
     /// `key_len` and to `try_remove_key` on other handles until it is
@@ -1350,26 +1112,28 @@ impl<T: Timing> KeyedPoolBuilder<T> {
     /// Builds the keyed pool.
     #[must_use]
     pub fn build<K: Key, V: Send + 'static>(self) -> KeyedPool<K, V, T> {
-        let hot_cfg = self.hotkey.unwrap_or_default();
+        let family = KeyedFamily::new(self.segments, self.hotkey);
+        let segments = (0..self.segments)
+            .map(|_| KeyedSegment::with_family(Arc::clone(&family), self.resident_buckets_max))
+            .collect();
         KeyedPool {
-            shared: Arc::new(KeyedShared {
-                segments: (0..self.segments)
-                    .map(|_| KeyedSegment::new(self.resident_buckets_max))
-                    .collect(),
-                shells: FreeList::new(CACHED_SHELLS_PER_SEGMENT * self.segments + 2),
-                detector: self.hotkey.map(HotKeyDetector::new),
-                hot_cfg,
-                depot: (self.handle_cache > 0)
-                    .then(|| Depot::new(self.handle_cache, 2 * self.segments + 2)),
-                handle_cache: self.handle_cache,
-                registry: Registry::new(),
-                timing: self.timing,
-            }),
+            pool: PoolBuilder::new(self.segments)
+                .timing(self.timing)
+                .handle_cache(self.handle_cache)
+                .build_from(segments, LinearSearch::new(self.segments)),
         }
     }
 }
 
-/// A concurrent pool of distinguishable elements.
+/// A concurrent pool of distinguishable elements: a key API over a
+/// [`Pool`] of [`KeyedSegment`]s.
+///
+/// It dereferences to that pool, so the plain pool's accessors —
+/// [`segments`](Pool::segments), [`total_len`](Pool::total_len),
+/// [`segment_len`](Pool::segment_len), [`depot_len`](Pool::depot_len)
+/// (pairs stashed in the magazine depot, excluded from `total_len` and
+/// [`key_len`](Self::key_len)), [`is_closed`](Pool::is_closed) — apply
+/// unchanged.
 ///
 /// The third type parameter is the statically-dispatched cost model
 /// (default: the free [`NullTiming`]); use
@@ -1387,22 +1151,30 @@ impl<T: Timing> KeyedPoolBuilder<T> {
 /// assert_eq!(h.try_remove_key(&"blue"), Ok(2));
 /// assert_eq!(h.try_remove_any(), Ok(("red", 1)));
 /// ```
-pub struct KeyedPool<K, V, T: Timing = NullTiming> {
-    shared: Arc<KeyedShared<K, V, T>>,
+pub struct KeyedPool<K: Key, V: Send + 'static, T: Timing = NullTiming> {
+    pool: Pool<KeyedSegment<K, V>, LinearSearch, T>,
 }
 
-impl<K, V, T: Timing> Clone for KeyedPool<K, V, T> {
+impl<K: Key, V: Send + 'static, T: Timing> Clone for KeyedPool<K, V, T> {
     fn clone(&self) -> Self {
-        KeyedPool { shared: Arc::clone(&self.shared) }
+        KeyedPool { pool: self.pool.clone() }
     }
 }
 
-impl<K, V, T: Timing> std::fmt::Debug for KeyedPool<K, V, T> {
+impl<K: Key, V: Send + 'static, T: Timing> std::fmt::Debug for KeyedPool<K, V, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KeyedPool")
-            .field("segments", &self.shared.segments.len())
-            .field("registered", &self.shared.registry.gate().registered())
+            .field("segments", &self.pool.segments())
+            .field("registered", &self.pool.gate().registered())
             .finish_non_exhaustive()
+    }
+}
+
+impl<K: Key, V: Send + 'static, T: Timing> std::ops::Deref for KeyedPool<K, V, T> {
+    type Target = Pool<KeyedSegment<K, V>, LinearSearch, T>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.pool
     }
 }
 
@@ -1422,37 +1194,9 @@ impl<K: Key, V: Send + 'static> KeyedPool<K, V> {
 }
 
 impl<K: Key, V: Send + 'static, T: Timing> KeyedPool<K, V, T> {
-    /// Number of segments.
-    pub fn segments(&self) -> usize {
-        self.shared.segments.len()
-    }
-
-    /// Total elements across all segments (snapshot).
-    pub fn total_len(&self) -> usize {
-        self.shared.segments.iter().map(KeyedSegment::len).sum()
-    }
-
     /// Elements of one key across all segments (snapshot).
     pub fn key_len(&self, key: &K) -> usize {
         self.shared.segments.iter().map(|s| s.key_len(key)).sum()
-    }
-
-    /// Current size of one segment (snapshot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seg` is out of range.
-    pub fn segment_len(&self, seg: SegIdx) -> usize {
-        self.shared.segments[seg.index()].len()
-    }
-
-    /// Pairs currently held in the magazine depot (snapshot; 0 when
-    /// [`KeyedPoolBuilder::handle_cache`] is off). These are pool-visible —
-    /// any remover can raid them — but not yet in any segment, so they are
-    /// excluded from [`total_len`](Self::total_len) and
-    /// [`key_len`](Self::key_len).
-    pub fn depot_len(&self) -> usize {
-        self.shared.depot.as_ref().map_or(0, Depot::stashed)
     }
 
     /// Closes the pool — see [`PoolOps::close`] (sticky, idempotent;
@@ -1470,34 +1214,13 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedPool<K, V, T> {
     /// assert_eq!(h.remove_key(&1, WaitStrategy::Block), Err(RemoveError::Closed));
     /// ```
     pub fn close(&self) {
-        self.shared.registry.notifier().close();
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.shared.registry.notifier().is_closed()
+        self.pool.close();
     }
 
     /// Registers a process; the `i`-th registration homes at segment
     /// `i mod segments`.
     pub fn register(&self) -> KeyedHandle<K, V, T> {
-        let (me, seg) = self.shared.registry.register(self.segments());
-        let magazine = (self.shared.handle_cache > 0)
-            .then(|| std::cell::RefCell::new(MagazineCache::new(self.shared.handle_cache)));
-        KeyedHandle {
-            shared: Arc::clone(&self.shared),
-            me,
-            seg,
-            last_found_any: seg,
-            last_found_key: BTreeMap::new(),
-            hot_cache: Vec::new(),
-            hot_range: None,
-            sample_tick: 0,
-            sweep_tick: 0,
-            magazine,
-            stats: ProcStats::default(),
-            poll_slot: None,
-        }
+        KeyedHandle { handle: self.pool.register(), hot: HotCache::default() }
     }
 
     /// Splits `key`'s bucket into sub-shards on every segment, regardless
@@ -1506,7 +1229,7 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedPool<K, V, T> {
     /// configured [`HotKeyConfig::sub_shards`]; idempotent.
     pub fn promote_key(&self, key: &K) {
         for segment in self.shared.segments.iter() {
-            segment.promote(key, self.shared.hot_cfg.sub_shards);
+            segment.promote(key, segment.family.hot_cfg.sub_shards);
         }
     }
 
@@ -1523,7 +1246,7 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedPool<K, V, T> {
     /// keyed-frontend counters (bucket evictions, hot-key promotions and
     /// demotions, and the current split-bucket gauge).
     pub fn stats(&self) -> PoolStats {
-        let mut stats = self.shared.registry.stats();
+        let mut stats = self.pool.stats();
         for segment in self.shared.segments.iter() {
             let (evictions, promotions, demotions, hot) = segment.counters();
             stats.pool.bucket_evictions += evictions;
@@ -1535,18 +1258,52 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedPool<K, V, T> {
     }
 }
 
-/// Per-process handle to a [`KeyedPool`].
+/// The plain handle a [`KeyedHandle`] wraps.
+type Inner<K, V, T> = Handle<KeyedSegment<K, V>, LinearSearch, T>;
+
+/// Per-process handle to a [`KeyedPool`]: a key API over the pool's
+/// [`Handle`], plus the handle-local hot-key state.
 ///
-/// Like [`Handle`](crate::Handle): `Send` but not `Sync`; dropping it
-/// deregisters from the livelock gate and deposits statistics.
+/// It dereferences to that handle, so the plain handle's accessors and
+/// lifecycle — [`proc_id`](Handle::proc_id), [`stats`](Handle::stats),
+/// [`cached_len`](Handle::cached_len), [`close`](Handle::close) (which
+/// flushes this handle's magazines first),
+/// [`remove_async`](Handle::remove_async) (a [`KeyedRemoveFuture`]),
+/// [`poll_remove`](Handle::poll_remove) — apply unchanged.
+///
+/// Like [`Handle`]: `Send` but not `Sync`; dropping it deregisters from
+/// the livelock gate and deposits statistics.
 pub struct KeyedHandle<K: Key, V: Send + 'static, T: Timing = NullTiming> {
-    shared: Arc<KeyedShared<K, V, T>>,
-    me: ProcId,
-    seg: SegIdx,
-    /// Where `try_remove_any` last found elements (the linear `LastFound`).
-    last_found_any: SegIdx,
-    /// Where each key was last found.
-    last_found_key: BTreeMap<K, SegIdx>,
+    handle: Inner<K, V, T>,
+    hot: HotCache<K, V>,
+}
+
+impl<K: Key, V: Send + 'static, T: Timing> std::ops::Deref for KeyedHandle<K, V, T> {
+    type Target = Inner<K, V, T>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.handle
+    }
+}
+
+impl<K: Key, V: Send + 'static, T: Timing> std::ops::DerefMut for KeyedHandle<K, V, T> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.handle
+    }
+}
+
+impl<K: Key, V: Send + 'static, T: Timing> std::fmt::Debug for KeyedHandle<K, V, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KeyedHandle")
+            .field("proc", &self.handle.proc_id())
+            .field("segment", &self.handle.home_segment())
+            .finish_non_exhaustive()
+    }
+}
+
+/// A keyed handle's hot-key state: the sampling countdowns and the cache
+/// of this home segment's split buckets.
+struct HotCache<K, V> {
     /// Handle-local cache of this home segment's split buckets: hot-key
     /// operations go straight to a sub-shard lock, bypassing the segment
     /// lock entirely. A flat vector, linearly scanned — it holds a
@@ -1554,11 +1311,11 @@ pub struct KeyedHandle<K: Key, V: Send + 'static, T: Timing = NullTiming> {
     /// cost of every keyed operation's fast-path probe. Entries go stale
     /// harmlessly — a sealed sub-shard bounces the operation back to the
     /// routed path, which uncaches.
-    hot_cache: Vec<(K, Arc<HotBucket<V>>)>,
+    entries: Vec<(K, Arc<HotBucket<V>>)>,
     /// `(min, max)` of the cached keys — the one-comparison pre-filter
     /// that spares cold-key operations the cache scan (`None` when the
     /// cache is empty).
-    hot_range: Option<(K, K)>,
+    range: Option<(K, K)>,
     /// Countdown to the next sampled operation (see
     /// [`HotKeyConfig::sample_every`]); handle-local, so the unsampled
     /// path touches no shared state.
@@ -1568,81 +1325,15 @@ pub struct KeyedHandle<K: Key, V: Send + 'static, T: Timing = NullTiming> {
     /// runs on one sample in [`SWEEP_EVERY_SAMPLES`] — decay only needs
     /// to be eventual, not immediate.
     sweep_tick: u32,
-    /// The two-magazine `(key, value)` cache, present when the pool was
-    /// built with [`KeyedPoolBuilder::handle_cache`]. `RefCell` because
-    /// [`close`](Self::close) flushes through `&self`.
-    magazine: Option<std::cell::RefCell<MagazineCache<(K, V)>>>,
-    stats: ProcStats,
-    /// Armed waker-registration ticket from [`poll_remove`](Self::poll_remove),
-    /// carried between polls so the next poll (or drop) can withdraw it.
-    poll_slot: Option<u64>,
 }
 
-impl<K: Key, V: Send + 'static, T: Timing> std::fmt::Debug for KeyedHandle<K, V, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KeyedHandle")
-            .field("proc", &self.me)
-            .field("segment", &self.seg)
-            .finish_non_exhaustive()
+impl<K, V> Default for HotCache<K, V> {
+    fn default() -> Self {
+        HotCache { entries: Vec::new(), range: None, sample_tick: 0, sweep_tick: 0 }
     }
 }
 
-impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
-    /// This process's id.
-    pub fn proc_id(&self) -> ProcId {
-        self.me
-    }
-
-    /// This process's home segment.
-    pub fn home_segment(&self) -> SegIdx {
-        self.seg
-    }
-
-    /// Statistics accumulated so far.
-    pub fn stats(&self) -> &ProcStats {
-        &self.stats
-    }
-
-    /// Closes the pool — see [`PoolOps::close`]. Any handle (or the
-    /// [`KeyedPool`] itself) may close; the transition is pool-wide.
-    ///
-    /// Flushes this handle's magazines into its home segment first, so
-    /// blocked and future removers can drain the cached residue before
-    /// observing [`RemoveError::Closed`]. Other handles' magazines flush
-    /// at their own next flush point (see [`magazine`](crate::magazine)).
-    pub fn close(&self) {
-        self.flush_magazine();
-        self.shared.registry.notifier().close();
-    }
-
-    /// Whether the pool has been [closed](Self::close).
-    pub fn is_closed(&self) -> bool {
-        self.shared.registry.notifier().is_closed()
-    }
-
-    /// Pairs currently cached in this handle's magazines (0 when
-    /// [`KeyedPoolBuilder::handle_cache`] is off). These are invisible to
-    /// [`KeyedPool::total_len`]/[`KeyedPool::key_len`] and to every other
-    /// handle until flushed.
-    pub fn cached_len(&self) -> usize {
-        self.magazine.as_ref().map_or(0, |m| m.borrow().len())
-    }
-
-    /// Banks both magazines into the home segment and wakes consumers —
-    /// the close/drop/drain flush point.
-    fn flush_magazine(&self) {
-        let Some(mag) = &self.magazine else { return };
-        let mut mag = mag.borrow_mut();
-        if mag.is_empty() {
-            return;
-        }
-        let items = mag.take_all();
-        drop(mag);
-        self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-        self.shared.segments[self.seg.index()].add_bulk_mixed(items);
-        self.shared.registry.notifier().notify_all();
-    }
-
+impl<K: Key, V: Send + 'static> HotCache<K, V> {
     /// Feeds one in [`HotKeyConfig::sample_every`] operations on `key`
     /// into the pool's hot-key detector; on a promote-threshold crossing
     /// splits the key's bucket on the home segment (each handle promotes
@@ -1650,34 +1341,29 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
     /// traffic samples the key), and sweeps cooled-off split buckets back
     /// to plain. No-op (one branch, one decrement) off the sample tick or
     /// with detection disabled.
-    fn maybe_sample(&mut self, key: &K) {
-        if self.shared.detector.is_none() {
-            return;
-        }
+    fn maybe_sample(&mut self, segment: &KeyedSegment<K, V>, key: &K) {
+        let Some(detector) = &segment.family.detector else { return };
         self.sample_tick += 1;
-        if self.sample_tick < self.shared.hot_cfg.sample_every {
+        if self.sample_tick < detector.cfg().sample_every {
             return;
         }
         self.sample_tick = 0;
-        let shared = Arc::clone(&self.shared);
-        let detector = shared.detector.as_ref().expect("checked non-None above");
         let count = detector.observe(key.clone());
-        let segment = &shared.segments[self.seg.index()];
-        if count >= detector.promote_count() {
+        if count >= detector.cfg().promote_count() {
             // Splitting is idempotent but not free (segment lock + cache
             // refresh); a steadily hot key re-crosses the threshold on
             // every sample, so skip once this handle already holds the
             // split bucket.
-            if self.cached_hot(key).is_none() {
+            if self.get(key).is_none() {
                 let hot = segment.promote(key, detector.cfg().sub_shards);
-                self.cache_hot(key.clone(), hot);
+                self.insert(key.clone(), hot);
             }
-        } else if count >= detector.demote_count() && self.cached_hot(key).is_none() {
+        } else if count >= detector.cfg().demote_count() && self.get(key).is_none() {
             // Another handle may have split this bucket already (each
             // handle's window samples are shared); adopt the split so this
             // handle's traffic also takes the sub-shard fast path.
             if let Some(hot) = segment.hot_bucket(key) {
-                self.cache_hot(key.clone(), hot);
+                self.insert(key.clone(), hot);
             }
         }
         // Hysteresis sweep: merge back every split bucket whose key fell
@@ -1687,7 +1373,7 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
         self.sweep_tick += 1;
         if self.sweep_tick >= SWEEP_EVERY_SAMPLES {
             self.sweep_tick = 0;
-            let demote_count = detector.demote_count();
+            let demote_count = detector.cfg().demote_count();
             segment.demote_cold(&|k| detector.count(k) < demote_count);
         }
     }
@@ -1696,20 +1382,20 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
     /// The key-range pre-filter rejects most cold keys in one comparison
     /// before the (short) linear scan — this probe is on every keyed
     /// operation's path, hot or not.
-    fn cached_hot(&self, key: &K) -> Option<&Arc<HotBucket<V>>> {
-        match &self.hot_range {
+    fn get(&self, key: &K) -> Option<&Arc<HotBucket<V>>> {
+        match &self.range {
             Some((lo, hi)) if key >= lo && key <= hi => {
-                self.hot_cache.iter().find(|(k, _)| k == key).map(|(_, hot)| hot)
+                self.entries.iter().find(|(k, _)| k == key).map(|(_, hot)| hot)
             }
             _ => None,
         }
     }
 
     /// Recomputes the cache's key-range pre-filter after a mutation.
-    fn refresh_hot_range(&mut self) {
-        self.hot_range = match (
-            self.hot_cache.iter().map(|(k, _)| k).min(),
-            self.hot_cache.iter().map(|(k, _)| k).max(),
+    fn refresh_range(&mut self) {
+        self.range = match (
+            self.entries.iter().map(|(k, _)| k).min(),
+            self.entries.iter().map(|(k, _)| k).max(),
         ) {
             (Some(lo), Some(hi)) => Some((lo.clone(), hi.clone())),
             _ => None,
@@ -1717,101 +1403,79 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
     }
 
     /// Drops a stale cache entry (the bucket was demoted behind us).
-    fn uncache_hot(&mut self, key: &K) {
-        self.hot_cache.retain(|(k, _)| k != key);
-        self.refresh_hot_range();
+    fn remove(&mut self, key: &K) {
+        self.entries.retain(|(k, _)| k != key);
+        self.refresh_range();
     }
 
     /// Caches a split bucket for the segment-lock-free fast path. The
     /// cache is a small bounded vector; at the bound it is cleared rather
     /// than evicted piecewise — by construction only genuinely hot keys
     /// land here, so refill is cheap and rare.
-    fn cache_hot(&mut self, key: K, hot: Arc<HotBucket<V>>) {
-        if let Some(slot) = self.hot_cache.iter_mut().find(|(k, _)| *k == key) {
+    fn insert(&mut self, key: K, hot: Arc<HotBucket<V>>) {
+        if let Some(slot) = self.entries.iter_mut().find(|(k, _)| *k == key) {
             slot.1 = hot;
             return;
         }
-        if self.hot_cache.len() >= HOT_CACHE_MAX {
-            self.hot_cache.clear();
+        if self.entries.len() >= HOT_CACHE_MAX {
+            self.entries.clear();
         }
-        self.hot_cache.push((key, hot));
-        self.refresh_hot_range();
+        self.entries.push((key, hot));
+        self.refresh_range();
     }
 
-    /// Adds an element under `key` to the local segment, then signals the
-    /// pool's notifier (after the segment lock is released) so consumers
-    /// parked in a [`Block`](WaitStrategy::Block) remove wake on the add
-    /// edge. Hot keys bypass the segment lock: the cached split bucket
-    /// takes the value under one sub-shard lock.
-    pub fn add(&mut self, key: K, value: V) {
-        let shared = Arc::clone(&self.shared);
-        let mut key = key;
-        let mut value = value;
-        // Magazine fast path, clock-free and before the timer starts: cache
-        // the pair handle-locally (zero shared RMWs) unless consumers are
-        // parked — then flush instead, so no element is stranded invisible
-        // while a remover sleeps. Cached adds skip hot-key sampling (a
-        // magazined pair never lands in a bucket, so it carries no heat
-        // signal) and skip the segment charge (the point of the cache is to
-        // not touch the segment).
-        if let (Some(depot), Some(mag)) = (&shared.depot, &self.magazine) {
-            if shared.registry.notifier().waiters() > 0 {
-                let mut mag = mag.borrow_mut();
-                if !mag.is_empty() {
-                    let items = mag.take_all();
-                    drop(mag);
-                    shared.timing.charge(self.me, Resource::Segment(self.seg));
-                    shared.segments[self.seg.index()].add_bulk_mixed(items);
-                    self.stats.flush_on_wait += 1;
-                }
-                // Fall through: this add goes in pool-visibly, and the
-                // ordinary path's notify wakes the waiters.
-            } else {
-                match mag.borrow_mut().cache((key, value), depot) {
-                    CacheOutcome::Cached => {
-                        self.stats.record_cached_add();
-                        return;
-                    }
-                    CacheOutcome::Exchanged => {
-                        self.stats.depot_exchanges += 1;
-                        // A full magazine just became raidable; wake a
-                        // parked remover in case one raced past the
-                        // waiter check above.
-                        shared.registry.notifier().notify_all();
-                        self.stats.record_cached_add();
-                        return;
-                    }
-                    CacheOutcome::Full(back) => {
-                        (key, value) = back;
-                    }
-                }
-            }
-        }
-        let timer = OpTimer::start(&shared.timing, self.me, 0);
-        shared.timing.charge(self.me, Resource::Segment(self.seg));
-        self.maybe_sample(&key);
-        let segment = &shared.segments[self.seg.index()];
-        if let Some(hot) = self.cached_hot(&key) {
-            // The process slot as sub-shard affinity: concurrent handles
-            // spread across distinct shards, and this handle's pops probe
-            // the same shard first.
-            match segment.hot_push(hot, value, self.me.index()) {
-                Ok(()) => {
-                    self.shared.registry.notifier().notify_all();
-                    timer.finish_add(&mut self.stats, false);
-                    return;
-                }
+    /// The keyed add's segment placement: samples the key, then pushes a
+    /// cached hot key under one sub-shard lock (the process slot as
+    /// sub-shard affinity: concurrent handles spread across distinct
+    /// shards, and this handle's pops probe the same shard first), and
+    /// routes everything else through the segment.
+    fn place(&mut self, segment: &KeyedSegment<K, V>, me: ProcId, (key, mut value): (K, V)) {
+        self.maybe_sample(segment, &key);
+        if let Some(hot) = self.get(&key) {
+            match segment.hot_push(hot, value, me.index()) {
+                Ok(()) => return,
                 Err(v) => {
                     // Sealed: the bucket was demoted; drop the stale cache
                     // entry and take the routed path.
-                    self.uncache_hot(&key);
+                    self.remove(&key);
                     value = v;
                 }
             }
         }
-        segment.add(key, value);
-        self.shared.registry.notifier().notify_all();
-        timer.finish_add(&mut self.stats, false);
+        segment.add((key, value));
+    }
+
+    /// The keyed remove's fast path: a cached split bucket serves the
+    /// remove under one sub-shard lock, never touching the segment lock.
+    /// An empty or sealed result falls through to the full pass (which can
+    /// steal the key from remote segments).
+    fn pop<T: Timing>(&mut self, h: &mut Inner<K, V, T>, key: &K) -> Option<V> {
+        let hot = self.get(key)?;
+        let timer = OpTimer::start(&h.shared.timing, h.me, 0);
+        h.shared.timing.charge(h.me, Resource::Segment(h.seg));
+        match h.shared.segments[h.seg.index()].hot_pop(hot, h.me.index()) {
+            HotPop::Got(value) => {
+                timer.finish_local_remove(&mut h.stats);
+                Some(value)
+            }
+            HotPop::Sealed => {
+                self.remove(key);
+                None
+            }
+            HotPop::Empty => None,
+        }
+    }
+}
+
+impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
+    /// Adds an element under `key` — [`Handle::add`] of the pair, whose
+    /// segment placement samples the key for the hot-key detector and
+    /// sends a cached hot key straight to its split bucket, bypassing the
+    /// segment lock. Consumers parked in a [`Block`](WaitStrategy::Block)
+    /// remove wake on the add edge.
+    pub fn add(&mut self, key: K, value: V) {
+        let hot = &mut self.hot;
+        self.handle.add_with((key, value), |segment, me, pair| hot.place(segment, me, pair));
     }
 
     /// Removes an arbitrary element, stealing half of a remote bucket when
@@ -1824,46 +1488,7 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
     /// [`RemoveError::Closed`] when additionally the pool is closed and
     /// drained.
     pub fn try_remove_any(&mut self) -> Result<(K, V), RemoveError> {
-        self.try_remove_any_inner(None)
-    }
-
-    fn try_remove_any_inner(
-        &mut self,
-        wait: Option<&mut WaitCtl<'_>>,
-    ) -> Result<(K, V), RemoveError> {
-        // Magazine fast path: pop handle-locally (refilling from the depot
-        // on a dry cache) before touching any segment.
-        if let (Some(depot), Some(mag)) = (&self.shared.depot, &self.magazine) {
-            match mag.borrow_mut().pop(depot) {
-                // Clock-free, like the cached add: a wall-clock read would
-                // cost more than the thread-local pop it prices.
-                PopOutcome::Hit(pair) => {
-                    self.stats.record_cached_remove();
-                    return Ok(pair);
-                }
-                PopOutcome::Refilled(pair) => {
-                    self.stats.depot_exchanges += 1;
-                    self.stats.record_cached_remove();
-                    return Ok(pair);
-                }
-                PopOutcome::Miss => {}
-            }
-        }
-        // The pass engine lives on the shared state (the futures in
-        // [`crate::future`] run the same pass); the handle supplies its
-        // identity, cursor, and stats.
-        let shared = Arc::clone(&self.shared);
-        let out = shared.remove_any_pass(
-            self.me,
-            self.seg,
-            &mut self.last_found_any,
-            &mut self.stats,
-            false,
-            wait,
-        );
-        // No sampling: detection is producer-side only (see `add`), so
-        // every remove flavor keeps the plain-baseline cost.
-        out
+        self.handle.try_remove()
     }
 
     /// Removes an element with the given key, stealing half of a remote
@@ -1876,60 +1501,8 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
     /// nobody can be adding one), or [`RemoveError::Closed`] when the pool
     /// is closed and holds no element of `key` anywhere.
     pub fn try_remove_key(&mut self, key: &K) -> Result<V, RemoveError> {
-        self.try_remove_key_inner(key, None)
-    }
-
-    fn try_remove_key_inner(
-        &mut self,
-        key: &K,
-        wait: Option<&mut WaitCtl<'_>>,
-    ) -> Result<V, RemoveError> {
-        // No sampling here: detection is producer-side (see `add`) — an
-        // element must be added before it can be removed, so add traffic
-        // is a faithful heat proxy and removes keep the baseline cost.
-        // Magazine scan first: this handle's own cached pairs are invisible
-        // to every pool-side path, so they must be served (or they would
-        // deadlock a remove of a key that only this handle holds).
-        if let Some(mag) = &self.magazine {
-            if let Some((_, value)) = mag.borrow_mut().take_matching(|(k, _)| k == key) {
-                self.stats.record_cached_remove();
-                return Ok(value);
-            }
-        }
-        // Hot-key fast path: a cached split bucket serves the remove under
-        // one sub-shard lock, never touching the segment lock. An empty or
-        // sealed result falls through to the full pass (which can steal
-        // the key from remote segments).
-        if let Some(hot) = self.cached_hot(key) {
-            let timer = OpTimer::start(&self.shared.timing, self.me, 0);
-            self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-            match self.shared.segments[self.seg.index()].hot_pop(hot, self.me.index()) {
-                HotPop::Got(value) => {
-                    timer.finish_local_remove(&mut self.stats);
-                    return Ok(value);
-                }
-                HotPop::Sealed => {
-                    self.uncache_hot(key);
-                }
-                HotPop::Empty => {}
-            }
-        }
-        // The per-key cursor map wraps the pass's flat `&mut SegIdx`
-        // cursor: read this key's resume point out, persist the pass's
-        // progress back in afterwards (also on aborts — a retrying caller
-        // must resume at the next segment).
-        let mut cursor = self.last_found_key.get(key).copied().unwrap_or(self.seg);
-        let out = self.shared.remove_key_pass(
-            self.me,
-            self.seg,
-            key,
-            &mut cursor,
-            &mut self.stats,
-            false,
-            wait,
-        );
-        self.last_found_key.insert(key.clone(), cursor);
-        out
+        let hot = &mut self.hot;
+        self.handle.try_remove_filtered(&KeyFilter(key), 0, None, |h| hot.pop(h, key))
     }
 
     /// Removes an element with the given key, waiting under `wait` — the
@@ -1977,42 +1550,9 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
         attempts: usize,
         deadline: Option<Instant>,
     ) -> Result<V, RemoveError> {
-        assert!(attempts > 0, "a blocking remove needs at least one attempt");
-        let shared = Arc::clone(&self.shared);
-        let mut ctl = WaitCtl::new(shared.registry.notifier(), wait, attempts, deadline);
-        // The shared driver with the drained snapshot scoped to `key`:
-        // other keys' elements cannot satisfy this remove, so they do not
-        // keep it alive.
-        crate::core::drive_blocking_remove(
-            &mut ctl,
-            |ctl| self.try_remove_key_inner(key, Some(ctl)),
-            || shared.drained_key(key),
-            || shared.registry.notifier().is_closed(),
-        )
-    }
-
-    /// Returns a future resolving to an arbitrary `(key, value)` pair —
-    /// the async counterpart of [`remove`](PoolOps::remove) with
-    /// [`Block`](WaitStrategy::Block). See [`future`](crate::future) for
-    /// the protocol; the future searches from this handle's home segment
-    /// but holds no borrow of the handle, so one handle can have many
-    /// futures pending at once.
-    pub fn remove_async(&self) -> crate::future::KeyedRemoveFuture<K, V, T> {
-        crate::future::KeyedRemoveFuture::new(Arc::clone(&self.shared), self.me, self.seg, None)
-    }
-
-    /// [`remove_async`](Self::remove_async) with a deadline: past
-    /// `timeout` the future resolves with [`RemoveError::Timeout`].
-    pub fn remove_timeout_async(
-        &self,
-        timeout: Duration,
-    ) -> crate::future::KeyedRemoveFuture<K, V, T> {
-        crate::future::KeyedRemoveFuture::new(
-            Arc::clone(&self.shared),
-            self.me,
-            self.seg,
-            Some(Instant::now() + timeout),
-        )
+        let hot = &mut self.hot;
+        self.handle
+            .remove_bounded_filtered(&KeyFilter(key), wait, attempts, deadline, |h| hot.pop(h, key))
     }
 
     /// Returns a future resolving to a value under `key` — the async
@@ -2020,97 +1560,55 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
     /// [`Block`](WaitStrategy::Block): while no element of `key` is
     /// reachable the future is pending, and other keys' traffic wakes it
     /// only to re-check and re-register.
-    pub fn remove_key_async(&self, key: K) -> crate::future::RemoveKeyFuture<K, V, T> {
-        crate::future::RemoveKeyFuture::new(Arc::clone(&self.shared), self.me, self.seg, key, None)
+    pub fn remove_key_async(&self, key: K) -> RemoveKeyFuture<K, V, T> {
+        self.handle.remove_async_filtered(KeyFilter(key), None)
     }
 
     /// [`remove_key_async`](Self::remove_key_async) with a deadline: past
     /// `timeout` the future resolves with [`RemoveError::Timeout`].
-    pub fn remove_key_timeout_async(
-        &self,
-        key: K,
-        timeout: Duration,
-    ) -> crate::future::RemoveKeyFuture<K, V, T> {
-        crate::future::RemoveKeyFuture::new(
-            Arc::clone(&self.shared),
-            self.me,
-            self.seg,
-            key,
-            Some(Instant::now() + timeout),
-        )
-    }
-
-    /// Polls one any-key remove attempt against `cx`'s waker — the
-    /// low-level poll primitive behind [`remove_async`](Self::remove_async),
-    /// exposed for callers writing their own futures. Unlike the futures
-    /// this runs *attached* (the handle is a registered process, so its
-    /// search counts on the §3.2 gate) and accumulates into the handle's
-    /// statistics. At most one registration is armed per handle; each call
-    /// re-arms it with the current waker.
-    pub fn poll_remove(
-        &mut self,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<Result<(K, V), RemoveError>> {
-        let shared = Arc::clone(&self.shared);
-        let mut slot = self.poll_slot.take();
-        if let Some(ticket) = slot.take() {
-            // Re-polls may carry a different waker: retire the stale
-            // registration so the armed waker is always the current one.
-            shared.notifier().cancel_waker(ticket);
-        }
-        let mut ctl = WaitCtl::new_poll(shared.notifier(), None, cx.waker(), &mut slot);
-        let out = crate::core::drive_poll_remove(
-            &mut ctl,
-            |ctl| self.try_remove_any_inner(Some(ctl)),
-            || shared.drained(),
-            || shared.notifier().is_closed(),
-        );
-        self.poll_slot = slot;
-        out
+    pub fn remove_key_timeout_async(&self, key: K, timeout: Duration) -> RemoveKeyFuture<K, V, T> {
+        self.handle.remove_async_filtered(KeyFilter(key), Some(Instant::now() + timeout))
     }
 }
 
 /// The unified operation vocabulary over `(key, value)` pairs — see
-/// [`ops`](crate::ops).
+/// [`ops`](crate::ops). Every method but `add` is the wrapped
+/// [`Handle`]'s own.
 ///
 /// [`try_remove`](PoolOps::try_remove) maps to
-/// [`try_remove_any`](KeyedHandle::try_remove_any); the batch paths take
-/// the segment lock once per batch, exactly like the plain pool's. Note
-/// that the inherent two-argument [`add`](KeyedHandle::add) shadows the
-/// trait's pair-taking `add` for direct calls — the trait surface is for
-/// generic consumers.
+/// [`try_remove_any`](KeyedHandle::try_remove_any). Note that the inherent
+/// two-argument [`add`](KeyedHandle::add) shadows the trait's pair-taking
+/// `add` for direct calls — the trait surface is for generic consumers.
 impl<K: Key, V: Send + 'static, T: Timing> PoolOps for KeyedHandle<K, V, T> {
     type Item = (K, V);
-    type RemoveFuture = crate::future::KeyedRemoveFuture<K, V, T>;
+    type RemoveFuture = KeyedRemoveFuture<K, V, T>;
 
     fn add(&mut self, (key, value): (K, V)) {
         KeyedHandle::add(self, key, value);
     }
 
-    fn remove_async(&self) -> crate::future::KeyedRemoveFuture<K, V, T> {
-        KeyedHandle::remove_async(self)
+    fn remove_async(&self) -> KeyedRemoveFuture<K, V, T> {
+        self.handle.remove_async()
     }
 
-    fn remove_timeout_async(&self, timeout: Duration) -> crate::future::KeyedRemoveFuture<K, V, T> {
-        KeyedHandle::remove_timeout_async(self, timeout)
+    fn remove_timeout_async(&self, timeout: Duration) -> KeyedRemoveFuture<K, V, T> {
+        self.handle.remove_timeout_async(timeout)
     }
 
     fn try_remove(&mut self) -> Result<(K, V), RemoveError> {
-        self.try_remove_any()
+        self.handle.try_remove()
     }
 
     fn is_drained(&self) -> bool {
-        // This handle's own cache counts (its pairs are reachable through
-        // its own removes); other handles' caches are invisible by design.
-        self.shared.drained() && self.cached_len() == 0
+        self.handle.is_drained()
     }
 
     fn close(&self) {
-        KeyedHandle::close(self);
+        self.handle.close();
     }
 
     fn is_closed(&self) -> bool {
-        KeyedHandle::is_closed(self)
+        self.handle.is_closed()
     }
 
     fn remove_bounded(
@@ -2119,171 +1617,19 @@ impl<K: Key, V: Send + 'static, T: Timing> PoolOps for KeyedHandle<K, V, T> {
         attempts: usize,
         deadline: Option<Instant>,
     ) -> Result<(K, V), RemoveError> {
-        assert!(attempts > 0, "a blocking remove needs at least one attempt");
-        let shared = Arc::clone(&self.shared);
-        let mut ctl = WaitCtl::new(shared.registry.notifier(), wait, attempts, deadline);
-        crate::core::drive_blocking_remove(
-            &mut ctl,
-            |ctl| self.try_remove_any_inner(Some(ctl)),
-            || shared.drained(),
-            || shared.registry.notifier().is_closed(),
-        )
+        self.handle.remove_bounded(wait, attempts, deadline)
     }
 
     fn add_batch<I: IntoIterator<Item = (K, V)>>(&mut self, items: I) {
-        // Materialize before starting the timer: an empty batch is a true
-        // no-op (no time attributed, nothing recorded).
-        let batch: Vec<(K, V)> = items.into_iter().collect();
-        let n = batch.len();
-        if n == 0 {
-            return;
-        }
-        let timer = OpTimer::start(&self.shared.timing, self.me, 0);
-        self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-        self.shared.segments[self.seg.index()].add_bulk_mixed(batch);
-        // One wakeup per batch, after the segment lock is released.
-        self.shared.registry.notifier().notify_all();
-        timer.finish_add_batch(&mut self.stats, n, 0);
+        self.handle.add_batch(items);
     }
 
     fn try_remove_batch(&mut self, n: usize) -> SmallDrain<(K, V)> {
-        if n == 0 {
-            return SmallDrain::new(Vec::new());
-        }
-        let timer = OpTimer::start(&self.shared.timing, self.me, 0);
-        self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-        let mut got = self.shared.segments[self.seg.index()].remove_up_to(n);
-        if !got.is_empty() {
-            timer.finish_remove_batch(&mut self.stats, got.len());
-            return SmallDrain::new(got);
-        }
-        // Local segment empty: one any-key steal search for the first
-        // element (it refills the local segment with half of a remote
-        // bucket), then top up locally. The search accounts itself.
-        timer.finish_remove_batch(&mut self.stats, 0);
-        if let Ok(first) = self.try_remove_any() {
-            got.push(first);
-            if n > 1 {
-                let top_up = OpTimer::start(&self.shared.timing, self.me, 0);
-                self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-                let extra = self.shared.segments[self.seg.index()].remove_up_to(n - 1);
-                top_up.finish_remove_batch(&mut self.stats, extra.len());
-                got.extend(extra);
-            }
-        }
-        SmallDrain::new(got)
+        self.handle.try_remove_batch(n)
     }
 
     fn drain(&mut self) -> SmallDrain<(K, V)> {
-        let timer = OpTimer::start(&self.shared.timing, self.me, 0);
-        let mut all = Vec::new();
-        // Own magazines first, then the depot (banking the gauge down only
-        // after the pairs are in `all`), then the segments. Other handles'
-        // magazines stay theirs — see [`magazine`](crate::magazine).
-        if let Some(mag) = &self.magazine {
-            all.extend(mag.borrow_mut().take_all());
-        }
-        if let Some(depot) = &self.shared.depot {
-            while let Some(mut mag) = depot.take_full() {
-                let n = mag.len();
-                all.append(&mut mag);
-                depot.put_shell(mag);
-                depot.unstash(n);
-            }
-        }
-        for (i, seg) in self.shared.segments.iter().enumerate() {
-            self.shared.timing.charge(self.me, Resource::Segment(SegIdx::new(i)));
-            all.extend(seg.drain_all());
-        }
-        timer.finish_remove_batch(&mut self.stats, all.len());
-        SmallDrain::new(all)
-    }
-}
-
-/// Opens a [`SearchSession`] for a keyed ring walk: the walk skips the home
-/// segment, so one full lap — the point after which the engine's §3.2 abort
-/// rule may fire — is `segments - 1` probes. A `detached` session (a
-/// future's poll) observes the gate without registering as a searcher on
-/// it — see [`SearchSession::begin_detached`].
-fn begin_keyed_search<'a, K: Key, V: Send + 'static, T: Timing>(
-    shared: &'a KeyedShared<K, V, T>,
-    me: ProcId,
-    home: SegIdx,
-    detached: bool,
-) -> SearchSession<'a, T> {
-    let lap = shared.segments.len().saturating_sub(1) as u64;
-    if detached {
-        SearchSession::begin_detached(&shared.timing, shared.registry.gate(), me, home, lap)
-    } else {
-        SearchSession::begin(&shared.timing, shared.registry.gate(), me, home, lap)
-    }
-}
-
-/// Walks the ring from `cursor`, skipping the searcher's home segment and
-/// probing every other segment through `probe`, until a steal succeeds, the
-/// engine's full-lap abort rule fires, the pool turns out closed, or the
-/// blocking-wait controller gives up (budget, deadline).
-///
-/// The cursor is persisted through `save_cursor` *before* every abort check
-/// (same reasoning as `LinearSearch`): a retrying caller must resume at the
-/// next segment or it could never reach elements parked elsewhere.
-///
-/// On a blocking remove (`ctx.wait` present) the walk pauses or parks at
-/// each fruitless lap boundary per [`WaitCtl`]; `ctx.has_work` is the wake
-/// filter — for a keyed remove it is scoped to the wanted key, so other
-/// keys' elements neither wake the search nor keep it probing.
-fn ring_search<I, T: Timing>(
-    session: &mut SearchSession<'_, T>,
-    n: usize,
-    mut victim: SegIdx,
-    mut probe: impl FnMut(&mut SearchSession<'_, T>, SegIdx) -> Option<(I, usize)>,
-    mut save_cursor: impl FnMut(SegIdx),
-    mut ctx: RingCtx<'_, '_>,
-) -> Option<(I, usize, SegIdx)> {
-    loop {
-        if victim != session.home() {
-            if let Some((item, stolen)) = probe(session, victim) {
-                return Some((item, stolen, victim));
-            }
-        }
-        victim = victim.next_in_ring(n);
-        save_cursor(victim);
-        if session.should_abort() {
-            return None;
-        }
-        // A closed pool ends fruitless walks at the first lap boundary even
-        // when not everyone is searching; the caller's `abort_error`
-        // distinguishes drained (Closed) from residue (retryable Aborted).
-        if session.full_lap_done() && ctx.notifier.is_closed() {
-            return None;
-        }
-        if let Some(ctl) = ctx.wait.as_deref_mut() {
-            if ctl.on_probe(session, ctx.has_work, || false) {
-                return None;
-            }
-        }
-    }
-}
-
-/// The lifecycle-and-wait context of one [`ring_search`]: the pool's
-/// notifier (for the closed check), the wake filter, and — on blocking
-/// removes — the lap-boundary wait controller.
-struct RingCtx<'a, 'n> {
-    notifier: &'a Notifier,
-    has_work: &'a dyn Fn() -> bool,
-    wait: Option<&'a mut WaitCtl<'n>>,
-}
-
-impl<K: Key, V: Send + 'static, T: Timing> Drop for KeyedHandle<K, V, T> {
-    fn drop(&mut self) {
-        // A dropped handle withdraws any waker registration left armed by
-        // a pending `poll_remove` before it stops being a waiter, and
-        // banks its magazines so no cached pair is lost with the handle.
-        if let Some(ticket) = self.poll_slot.take() {
-            self.shared.registry.notifier().cancel_waker(ticket);
-        }
-        self.flush_magazine();
-        self.shared.registry.retire(self.me, std::mem::take(&mut self.stats));
+        self.handle.drain()
     }
 }
 
@@ -2425,7 +1771,7 @@ mod tests {
             h.add(key, key);
             assert_eq!(h.try_remove_key(&key), Ok(key));
         }
-        let resident = pool.shared.segments[0].buckets.lock().map.len();
+        let resident = pool.pool.shared.segments[0].buckets.lock().map.len();
         assert!(
             resident <= RESIDENT_BUCKETS_MAX + 1,
             "drained ephemeral buckets must be evicted, found {resident} resident"
@@ -2455,7 +1801,7 @@ mod tests {
                 assert_eq!(h.try_remove_key(&key), Ok(round));
             }
         }
-        let resident = pool.shared.segments[0].buckets.lock().map.len();
+        let resident = pool.pool.shared.segments[0].buckets.lock().map.len();
         assert_eq!(
             resident as u32,
             pinned + hot,
@@ -2767,7 +2113,7 @@ mod tests {
             h.add(key, key);
             assert_eq!(h.try_remove_key(&key), Ok(key));
         }
-        let resident = pool.shared.segments[0].buckets.lock().map.len();
+        let resident = pool.pool.shared.segments[0].buckets.lock().map.len();
         assert!(resident <= bound + 1, "bound {bound} not honored: {resident} resident");
         let stats = pool.stats();
         assert!(

@@ -29,6 +29,12 @@
 //! free lists so the steady-state steal path performs zero allocations —
 //! see [`transfer`].
 //!
+//! Distinguishable elements (the paper's §5 open question) need no second
+//! pool: a [`KeyedPool`] is a key API over a `Pool` of
+//! [`KeyedSegment`]s — key-bucketed segments whose steal takes half of the
+//! largest bucket — and a key-scoped remove runs the same remove pass
+//! under a key filter (see [`keyed`]).
+//!
 //! Every shared-memory access the paper charges for (segment probes, tree
 //! node visits) is reported through the [`timing::Timing`] trait so the same
 //! algorithm code runs on raw threads, under injected NUMA delays, or inside
@@ -84,7 +90,8 @@
 //! [`remove_async`](Handle::remove_async) /
 //! [`remove_key_async`](KeyedHandle::remove_key_async) (plus `_timeout`
 //! variants and the low-level [`poll_remove`](Handle::poll_remove)) return
-//! std-only futures whose wakers register on the [`notify`] subsystem —
+//! the one std-only future type, [`RemoveFuture`], whose waker registers
+//! on the [`notify`] subsystem —
 //! no runtime dependency — so a single thread can drive thousands of
 //! pending removes at once ([`future::exec::Fleet`]).
 //!
@@ -120,7 +127,7 @@ pub use gate::SearchGate;
 pub use hints::{HintBoard, HINT_BOARD_RESOURCE};
 pub use hotkey::HotKeyConfig;
 pub use ids::{ProcId, SegIdx};
-pub use keyed::{KeyedHandle, KeyedPool, KeyedPoolBuilder};
+pub use keyed::{KeyedHandle, KeyedPool, KeyedPoolBuilder, KeyedSegment};
 pub use magazine::{CacheOutcome, Depot, MagazineCache, PopOutcome};
 pub use notify::{Notifier, WaitOutcome};
 pub use ops::{PoolOps, SmallDrain, WaitStrategy};

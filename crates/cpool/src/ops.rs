@@ -243,16 +243,17 @@ impl<T> FusedIterator for SmallDrain<T> {}
 ///
 /// Both handles also keep their inherent methods (which shadow the trait
 /// methods of the same name for direct calls); the trait adds the blocking,
-/// lifecycle, and batch vocabulary on top.
+/// lifecycle, and batch vocabulary on top. A `KeyedHandle` wraps a
+/// `Handle`, and every trait method but `add` is that handle's own.
 pub trait PoolOps {
     /// The element type this pool stores. For keyed pools this is the
     /// `(key, value)` pair.
     type Item;
 
-    /// The future [`remove_async`](Self::remove_async) returns:
-    /// [`RemoveFuture`](crate::RemoveFuture) for [`Handle`](crate::Handle),
-    /// [`KeyedRemoveFuture`](crate::KeyedRemoveFuture) for
-    /// [`KeyedHandle`](crate::KeyedHandle). Always `Unpin` (pool futures
+    /// The future [`remove_async`](Self::remove_async) returns: the one
+    /// [`RemoveFuture`](crate::RemoveFuture) type, which a
+    /// [`KeyedHandle`](crate::KeyedHandle) names by its
+    /// [`KeyedRemoveFuture`](crate::KeyedRemoveFuture) alias. Always `Unpin` (pool futures
     /// are plain owned state), so generic drivers can poll without pin
     /// projection — e.g. through [`future::exec::Fleet`](crate::future::exec::Fleet).
     type RemoveFuture: std::future::Future<Output = Result<Self::Item, RemoveError>> + Unpin;

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
-use crate::core::{OpTimer, Registry, SearchSession, WaitCtl};
+use crate::core::{Any, OpTimer, Registry, RemoveFilter, SearchSession, WaitCtl};
 use crate::error::RemoveError;
 use crate::future::RemoveFuture;
 use crate::gate::SearchGate;
@@ -305,7 +305,16 @@ impl<S: Segment, T: Timing> PoolBuilder<S, T> {
         // Segments are built as one family so representations with pooled
         // resources (the element segments' shell cache) share them across
         // the pool.
-        let segments: Box<[S]> = S::new_family(self.segments).into();
+        let segments = S::new_family(self.segments);
+        self.build_from(segments, policy)
+    }
+
+    /// Builds the pool over caller-constructed segments (the keyed
+    /// frontend's segments share hot-key state the family hook cannot
+    /// configure).
+    pub(crate) fn build_from<P: SearchPolicy>(self, segments: Vec<S>, policy: P) -> Pool<S, P, T> {
+        assert_eq!(segments.len(), self.segments, "one segment per pool slot");
+        let segments: Box<[S]> = segments.into();
         let trace = self
             .record_trace
             .then(|| TraceRecorder::new(self.trace_procs.unwrap_or(self.segments)));
@@ -335,10 +344,10 @@ impl<S: Segment, T: Timing> PoolBuilder<S, T> {
 }
 
 pub(crate) struct Shared<S: Segment, P, T> {
-    segments: Box<[S]>,
+    pub(crate) segments: Box<[S]>,
     policy: P,
-    registry: Registry,
-    timing: T,
+    pub(crate) registry: Registry,
+    pub(crate) timing: T,
     seed: u64,
     trace: Option<TraceRecorder>,
     hints: Option<HintBoard<S::Item>>,
@@ -346,7 +355,7 @@ pub(crate) struct Shared<S: Segment, P, T> {
     remove_overhead_ns: u64,
     /// The magazine exchange point, present when the pool was built with a
     /// non-zero [`PoolBuilder::handle_cache`] depth.
-    depot: Option<Depot<S::Item>>,
+    pub(crate) depot: Option<Depot<S::Item>>,
     /// The configured magazine depth (elements per magazine; zero = off).
     handle_cache: usize,
 }
@@ -357,15 +366,20 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
         self.registry.notifier()
     }
 
-    /// Whether every pool-visible element store is empty right now — all
-    /// segments plus the magazine depot's stashed gauge (overstate-only,
-    /// so an in-flight exchange can never make this falsely true). This is
+    /// Whether every pool-visible element store is empty right now in the
+    /// scope of `filter` — no segment holds an element the filter accepts,
+    /// and the magazine depot's stashed gauge is zero (overstate-only, so
+    /// an in-flight exchange can never make this falsely true). This is
     /// the drained snapshot the remove drivers use for their terminal
     /// mapping; elements cached in *handles'* magazines are deliberately
     /// not counted (see [`magazine`](crate::magazine) for why that cannot
-    /// strand a waiter).
-    pub(crate) fn drained(&self) -> bool {
-        self.segments.iter().all(Segment::is_empty)
+    /// strand a waiter). Depot magazines are opaque to the snapshot, so a
+    /// non-empty depot keeps every scope alive *conservatively*: each
+    /// retry's raid banks one magazine into the home segment, where
+    /// [`RemoveFilter::holds`] can see its contents, so a scoped snapshot
+    /// converges in at most ring-capacity retries.
+    pub(crate) fn drained_for<F: RemoveFilter<S>>(&self, filter: &F) -> bool {
+        self.segments.iter().all(|seg| !filter.holds(seg))
             && self.depot.as_ref().is_none_or(|d| d.stashed() == 0)
     }
 
@@ -377,29 +391,36 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
 
     /// One remove pass: local try, then — if the local segment is empty —
     /// a full policy search with the steal protocol. This is the engine
-    /// both `Handle::try_remove` and the async futures drive; the handle
-    /// passes `detached: false` (gate-registered search, hint-board
-    /// participation), a future `detached: true` (observe the gate without
-    /// counting as a searcher — see [`SearchSession::begin_detached`] —
-    /// and stay off the hint board, whose mailboxes are per-[`ProcId`] and
-    /// would be shared with the handle that created the future).
+    /// every remove drives: handles, blocking removes and the async
+    /// futures, any-element ([`Any`]) and key-scoped alike — `filter` sets
+    /// the scope of each step. The handle passes `detached: false`
+    /// (gate-registered search, hint-board participation), a future
+    /// `detached: true` (observe the gate without counting as a searcher —
+    /// see [`SearchSession::begin_detached`] — and stay off the hint
+    /// board, whose mailboxes are per-[`ProcId`] and would be shared with
+    /// the handle that created the future).
+    ///
+    /// Key-scoped passes only run on keyed pools, which never enable the
+    /// hint board, so a donation can never hand a scoped search an element
+    /// outside its scope.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn remove_pass(
+    pub(crate) fn remove_pass<F: RemoveFilter<S>>(
         &self,
+        filter: &F,
         me: ProcId,
         home: SegIdx,
         state: &mut P::State,
         stats: &mut ProcStats,
         detached: bool,
         overhead_ns: u64,
-        mut wait: Option<&mut WaitCtl<'_>>,
-    ) -> Result<S::Item, RemoveError> {
+        wait: Option<&mut WaitCtl<'_>>,
+    ) -> Result<F::Output, RemoveError> {
         let timer = OpTimer::start(&self.timing, me, overhead_ns);
         self.timing.charge(me, Resource::Segment(home));
-        if let Some(item) = self.segments[home.index()].try_remove() {
+        if let Some(out) = filter.take_local(&self.segments[home.index()]) {
             timer.finish_local_remove(stats);
             self.record_trace(me, home, TraceKind::Remove);
-            return Ok(item);
+            return Ok(out);
         }
 
         // Local segment empty: before searching, raid the magazine depot —
@@ -408,11 +429,13 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
         // consumers that have no magazine of their own (futures, detached
         // removers, plain handles on a cached pool).
         if let Some(depot) = &self.depot {
-            if let Some((item, rest)) = depot.raid() {
+            if let Some((hit, rest)) = filter.raid(depot) {
                 if let Some(rest) = rest {
-                    // The ring refilled while the magazine was out: bank
-                    // the remainder in the home segment so the elements
-                    // stay pool-visible, then retire them from the gauge.
+                    // The ring refilled while the magazine was out (or the
+                    // magazine held elements outside the filter's scope):
+                    // bank the remainder in the home segment so the
+                    // elements stay pool-visible, then retire them from
+                    // the gauge.
                     let n = rest.len();
                     self.timing.charge(me, Resource::Segment(home));
                     self.segments[home.index()].add_bulk(rest);
@@ -420,8 +443,10 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
                     depot.unstash(n);
                 }
                 stats.depot_exchanges += 1;
-                timer.finish_depot_remove(stats);
-                return Ok(item);
+                if let Some(item) = hit {
+                    timer.finish_depot_remove(stats);
+                    return Ok(F::output(item));
+                }
             }
         }
 
@@ -431,9 +456,6 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
         // steals remain the first-line mechanism — they balance reserves in
         // a way single-element deliveries cannot — and donations target
         // exactly the long-tail searches that batches cannot satisfy.
-        if let Some(ctl) = wait.as_deref_mut() {
-            ctl.begin_pass();
-        }
         let lap = self.segments.len() as u64;
         let session = if detached {
             SearchSession::begin_detached(&self.timing, self.registry.gate(), me, home, lap)
@@ -443,6 +465,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
         let hints = if detached { None } else { self.hints.as_ref() };
         let mut env = PoolSearchEnv {
             shared: self,
+            filter,
             session,
             hints,
             stolen: 0,
@@ -477,7 +500,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
                 timer.finish_steal_remove(stats, stolen, search_t0);
                 self.record_trace(me, victim, TraceKind::StealFrom);
                 self.record_trace(me, home, TraceKind::StealInto);
-                Ok(item)
+                Ok(F::output(item))
             }
             SearchOutcome::Aborted if delivery.is_some() => {
                 // The search saw the delivery (or the gate fired just as a
@@ -485,23 +508,23 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
                 // remove without any steal.
                 let item = delivery.expect("guard checked");
                 timer.finish_hinted_remove(stats);
-                Ok(item)
+                Ok(F::output(item))
             }
             SearchOutcome::Aborted => {
                 debug_assert!(taken.is_none());
                 timer.finish_aborted(stats);
-                Err(self.abort_error())
+                Err(self.abort_error(filter))
             }
         }
     }
 
     /// Maps a search abort to its caller-facing error: an abort on a
-    /// closed *and drained* pool is the end of the pool's life
-    /// ([`RemoveError::Closed`]); anything else keeps the §3.2
-    /// [`RemoveError::Aborted`] semantics (a closed pool that still holds
-    /// elements must drain them first).
-    fn abort_error(&self) -> RemoveError {
-        if self.registry.notifier().is_closed() && self.drained() {
+    /// closed pool *drained in the filter's scope* is the end of the
+    /// pool's life for this remove ([`RemoveError::Closed`]); anything else
+    /// keeps the §3.2 [`RemoveError::Aborted`] semantics (a closed pool
+    /// that still holds acceptable elements must drain them first).
+    fn abort_error<F: RemoveFilter<S>>(&self, filter: &F) -> RemoveError {
+        if self.registry.notifier().is_closed() && self.drained_for(filter) {
             RemoveError::Closed
         } else {
             RemoveError::Aborted
@@ -529,7 +552,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
 /// handle to shared state); all clones refer to the same pool. See the
 /// [crate docs](crate) for an end-to-end example.
 pub struct Pool<S: Segment, P: SearchPolicy, T: Timing = NullTiming> {
-    shared: Arc<Shared<S, P, T>>,
+    pub(crate) shared: Arc<Shared<S, P, T>>,
 }
 
 impl<S: Segment, P: SearchPolicy, T: Timing> Clone for Pool<S, P, T> {
@@ -699,11 +722,11 @@ where
 /// Dropping the handle deregisters the process from the livelock gate and
 /// deposits its statistics with the pool.
 pub struct Handle<S: Segment, P: SearchPolicy, T: Timing = NullTiming> {
-    shared: Arc<Shared<S, P, T>>,
-    me: ProcId,
-    seg: SegIdx,
+    pub(crate) shared: Arc<Shared<S, P, T>>,
+    pub(crate) me: ProcId,
+    pub(crate) seg: SegIdx,
     state: P::State,
-    stats: ProcStats,
+    pub(crate) stats: ProcStats,
     /// Armed waker-registration ticket from [`poll_remove`](Self::poll_remove)
     /// (the handle-level poll API; [`RemoveFuture`] keeps its own slot).
     /// Cancelled on drop so a retired handle cannot leave a dangling
@@ -806,6 +829,16 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
     /// edge instead of waiting out a backoff. The signal is one fence plus
     /// one load when nobody is parked.
     pub fn add(&mut self, item: S::Item) {
+        self.add_with(item, |seg, _, item| seg.add(item));
+    }
+
+    /// [`add`](Self::add) with the segment placement supplied by the
+    /// caller: `place` runs exactly where the plain add calls
+    /// [`Segment::add`] — after the magazine check, the hint donation and
+    /// the home-segment charge, with the operation's timer running — and
+    /// must put the item into the home segment it is handed (the keyed
+    /// frontend routes hot keys to split buckets there).
+    pub(crate) fn add_with(&mut self, item: S::Item, place: impl FnOnce(&S, ProcId, S::Item)) {
         let mut item = item;
         // Magazine fast path, before the timer even starts: a cached add is
         // a handful of thread-local instructions, and the timer's two clock
@@ -874,7 +907,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
             }
         }
         self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-        self.shared.segments[self.seg.index()].add(item);
+        place(&self.shared.segments[self.seg.index()], self.me, item);
         // Signal after releasing the segment lock: the element is already
         // visible to any woken searcher's probe.
         self.shared.registry.notifier().notify_all();
@@ -892,25 +925,32 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
     /// [`RemoveError::Closed`] when, additionally, the pool is
     /// [closed](Self::close) and drained.
     pub fn try_remove(&mut self) -> Result<S::Item, RemoveError> {
-        self.try_remove_inner(self.shared.remove_overhead_ns, None)
+        self.try_remove_filtered(&Any, self.shared.remove_overhead_ns, None, |_| None)
     }
 
-    /// `try_remove` with an explicit per-operation overhead charge (so the
-    /// batched paths — which already paid the overhead for the whole batch
-    /// — can fall back to a search without charging it twice) and an
-    /// optional blocking-wait controller (threaded into the search by
-    /// [`remove_bounded`](PoolOps::remove_bounded), which parks the search
-    /// at lap boundaries instead of letting it poll).
-    fn try_remove_inner(
+    /// One remove attempt scoped by `filter`: the private magazines, then
+    /// `fast` (a frontend shortcut that bypasses the segment lock; the
+    /// plain remove has none), then one [`Shared::remove_pass`].
+    ///
+    /// The per-operation overhead charge is explicit (so the batched paths
+    /// — which already paid the overhead for the whole batch — can fall
+    /// back to a search without charging it twice), and so is the optional
+    /// wait controller (threaded into the search by the waiting removes,
+    /// which park or pend at lap boundaries instead of polling on).
+    pub(crate) fn try_remove_filtered<F: RemoveFilter<S>>(
         &mut self,
+        filter: &F,
         overhead_ns: u64,
         wait: Option<&mut WaitCtl<'_>>,
-    ) -> Result<S::Item, RemoveError> {
+        fast: impl FnOnce(&mut Self) -> Option<F::Output>,
+    ) -> Result<F::Output, RemoveError> {
         // Serve from the private magazines first: a hit is a thread-local
         // pop, a refill claims one full magazine from the depot for this
-        // and the next `cap - 1` removes.
+        // and the next `cap - 1` removes. The handle's own cached elements
+        // are invisible to every pool-side path, so a scoped remove must
+        // scan them here or it could wait forever on elements it holds.
         if let (Some(depot), Some(mag)) = (&self.shared.depot, &self.magazine) {
-            let outcome = mag.borrow_mut().pop(depot);
+            let outcome = filter.take_cached(&mut mag.borrow_mut(), depot);
             match outcome {
                 // Clock-free like the cached add: the configured per-op
                 // computation is still charged to simulated cost models,
@@ -920,7 +960,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
                         self.shared.timing.charge_work(self.me, overhead_ns);
                     }
                     self.stats.record_cached_remove();
-                    return Ok(item);
+                    return Ok(F::output(item));
                 }
                 PopOutcome::Refilled(item) => {
                     if overhead_ns > 0 {
@@ -928,12 +968,16 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
                     }
                     self.stats.depot_exchanges += 1;
                     self.stats.record_cached_remove();
-                    return Ok(item);
+                    return Ok(F::output(item));
                 }
                 PopOutcome::Miss => {}
             }
         }
+        if let Some(out) = fast(self) {
+            return Ok(out);
+        }
         self.shared.remove_pass(
+            filter,
             self.me,
             self.seg,
             &mut self.state,
@@ -962,7 +1006,17 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
     /// closed and drained, and with [`RemoveError::Aborted`] when the
     /// registered fleet proves the pool unreachable-empty (§3.2).
     pub fn remove_async(&self) -> RemoveFuture<S, P, T> {
-        RemoveFuture::new(Arc::clone(&self.shared), self.me, self.seg, None)
+        self.remove_async_filtered(Any, None)
+    }
+
+    /// A [`RemoveFuture`] scoped by `filter`, resolving past `deadline`
+    /// with [`RemoveError::Timeout`] when one is given.
+    pub(crate) fn remove_async_filtered<F: RemoveFilter<S>>(
+        &self,
+        filter: F,
+        deadline: Option<Instant>,
+    ) -> RemoveFuture<S, P, T, F> {
+        RemoveFuture::new(Arc::clone(&self.shared), self.me, self.seg, deadline, filter)
     }
 
     /// [`remove_async`](Self::remove_async) with a deadline: the future
@@ -975,12 +1029,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
     /// (timer-wheel runtimes would instead race their own sleep against
     /// the plain [`remove_async`](Self::remove_async) future).
     pub fn remove_timeout_async(&self, timeout: Duration) -> RemoveFuture<S, P, T> {
-        RemoveFuture::new(
-            Arc::clone(&self.shared),
-            self.me,
-            self.seg,
-            Some(Instant::now() + timeout),
-        )
+        self.remove_async_filtered(Any, Some(Instant::now() + timeout))
     }
 
     /// Polls for a removed element without constructing a future: the
@@ -998,21 +1047,63 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
     pub fn poll_remove(&mut self, cx: &mut Context<'_>) -> Poll<Result<S::Item, RemoveError>> {
         let shared = Arc::clone(&self.shared);
         let mut slot = self.poll_slot.take();
-        if let Some(ticket) = slot.take() {
-            // A re-poll may carry a different waker: retire the previous
-            // registration so the current task is the one that wakes.
-            shared.notifier().cancel_waker(ticket);
-        }
         let mut overhead = shared.remove_overhead_ns;
         let mut ctl = WaitCtl::new_poll(shared.notifier(), None, cx.waker(), &mut slot);
-        let out = crate::core::drive_poll_remove(
+        let out = crate::core::drive_remove(
             &mut ctl,
-            |ctl| self.try_remove_inner(std::mem::take(&mut overhead), Some(ctl)),
-            || shared.drained(),
+            |ctl| {
+                self.try_remove_filtered(&Any, std::mem::take(&mut overhead), Some(ctl), |_| None)
+            },
+            || shared.drained_for(&Any),
             || shared.notifier().is_closed(),
         );
         self.poll_slot = slot;
         out
+    }
+
+    /// The blocking-remove primitive scoped by `filter` — see
+    /// [`PoolOps::remove_bounded`] for the contract. Every pass runs
+    /// [`try_remove_filtered`](Self::try_remove_filtered) with `fast`, and
+    /// the drained check (with it the terminal `Closed`/`Aborted` mapping)
+    /// is scoped to the filter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `attempts` is zero.
+    pub(crate) fn remove_bounded_filtered<F: RemoveFilter<S>>(
+        &mut self,
+        filter: &F,
+        wait: WaitStrategy,
+        attempts: usize,
+        deadline: Option<Instant>,
+        mut fast: impl FnMut(&mut Self) -> Option<F::Output>,
+    ) -> Result<F::Output, RemoveError> {
+        assert!(attempts > 0, "a blocking remove needs at least one attempt");
+        // The controller and the driver's snapshots borrow from a local Arc
+        // clone so the handle itself stays mutably borrowable for the
+        // searches.
+        let shared = Arc::clone(&self.shared);
+        let mut ctl = WaitCtl::new(shared.registry.notifier(), wait, attempts, deadline);
+        // The per-op overhead is paid by the first pass only; retry passes
+        // must not charge it twice.
+        let mut overhead = shared.remove_overhead_ns;
+        let out = crate::core::drive_remove(
+            &mut ctl,
+            |ctl| {
+                self.try_remove_filtered(
+                    filter,
+                    std::mem::take(&mut overhead),
+                    Some(ctl),
+                    &mut fast,
+                )
+            },
+            || shared.drained_for(filter),
+            || shared.registry.notifier().is_closed(),
+        );
+        match out {
+            Poll::Ready(out) => out,
+            Poll::Pending => unreachable!("a blocking controller never goes pending"),
+        }
     }
 }
 
@@ -1047,7 +1138,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
     fn is_drained(&self) -> bool {
         // Pool-visible stores plus this handle's own cache; other handles'
         // magazines are invisible by design (see `cpool::magazine`).
-        self.shared.drained() && self.cached_len() == 0
+        self.shared.drained_for(&Any) && self.cached_len() == 0
     }
 
     fn close(&self) {
@@ -1064,21 +1155,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
         attempts: usize,
         deadline: Option<Instant>,
     ) -> Result<S::Item, RemoveError> {
-        assert!(attempts > 0, "a blocking remove needs at least one attempt");
-        // The controller and the driver's snapshots borrow from a local Arc
-        // clone so the handle itself stays mutably borrowable for the
-        // searches.
-        let shared = Arc::clone(&self.shared);
-        let mut ctl = WaitCtl::new(shared.registry.notifier(), wait, attempts, deadline);
-        // The per-op overhead is paid by the first pass only; retry passes
-        // must not charge it twice.
-        let mut overhead = self.shared.remove_overhead_ns;
-        crate::core::drive_blocking_remove(
-            &mut ctl,
-            |ctl| self.try_remove_inner(std::mem::take(&mut overhead), Some(ctl)),
-            || shared.drained(),
-            || shared.registry.notifier().is_closed(),
-        )
+        self.remove_bounded_filtered(&Any, wait, attempts, deadline, |_| None)
     }
 
     fn add_batch<I: IntoIterator<Item = S::Item>>(&mut self, items: I) {
@@ -1142,7 +1219,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
         // search accounts itself through its own timer — with zero
         // overhead, since this batch already paid `remove_overhead_ns`.
         timer.finish_remove_batch(&mut self.stats, 0);
-        if let Ok(first) = self.try_remove_inner(0, None) {
+        if let Ok(first) = self.try_remove_filtered(&Any, 0, None, |_| None) {
             if n > 1 {
                 let top_up = OpTimer::start(&self.shared.timing, self.me, 0);
                 self.shared.timing.charge(self.me, Resource::Segment(self.seg));
@@ -1200,8 +1277,11 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Drop for Handle<S, P, T> {
 /// two-phase steal, charges costs, and tracks search statistics) and layers
 /// the hint-board interplay — and, for blocking removes, the lap-boundary
 /// waiting of [`WaitCtl`] — on top of the engine's abort rule.
-struct PoolSearchEnv<'a, 'w, 'n, S: Segment, P, T: Timing> {
+struct PoolSearchEnv<'a, 'w, 'n, S: Segment, P, T: Timing, F> {
     shared: &'a Shared<S, P, T>,
+    /// The remove's scope: which victim elements a probe may steal, and
+    /// which elements count as work for a waiting search.
+    filter: &'a F,
     session: SearchSession<'a, T>,
     /// The hint board when this search participates in it (`None` for
     /// detached future searches, whose [`ProcId`] aliases the creating
@@ -1215,7 +1295,9 @@ struct PoolSearchEnv<'a, 'w, 'n, S: Segment, P, T: Timing> {
     wait: Option<&'w mut WaitCtl<'n>>,
 }
 
-impl<S: Segment, P: SearchPolicy, T: Timing> SearchEnv for PoolSearchEnv<'_, '_, '_, S, P, T> {
+impl<S: Segment, P: SearchPolicy, T: Timing, F: RemoveFilter<S>> SearchEnv
+    for PoolSearchEnv<'_, '_, '_, S, P, T, F>
+{
     fn segments(&self) -> usize {
         self.shared.segments.len()
     }
@@ -1226,6 +1308,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> SearchEnv for PoolSearchEnv<'_, '_,
 
     fn try_steal(&mut self, victim: SegIdx) -> ProbeOutcome {
         let segments = &self.shared.segments;
+        let filter = self.filter;
         let home = self.session.home();
         match self.session.probe(
             victim,
@@ -1241,7 +1324,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> SearchEnv for PoolSearchEnv<'_, '_,
                 if seg.is_empty() {
                     Vec::new()
                 } else {
-                    seg.steal_half()
+                    filter.steal(seg)
                 }
             },
             |rest| segments[home.index()].add_bulk(rest),
@@ -1292,13 +1375,15 @@ impl<S: Segment, P: SearchPolicy, T: Timing> SearchEnv for PoolSearchEnv<'_, '_,
         // Blocking removes wait at lap boundaries instead of polling on.
         if let Some(ctl) = self.wait.as_deref_mut() {
             let shared = self.shared;
+            let filter = self.filter;
             let hints = self.hints;
             let proc = self.session.proc();
             return ctl.on_probe(
                 &self.session,
-                // Work = any non-empty segment or a stashed depot magazine
-                // (the next pass's raid will claim it).
-                || !shared.drained(),
+                // Work = a segment holding an element in the filter's scope
+                // or a stashed depot magazine (the next pass's raid will
+                // claim it): a scoped wait re-parks on other traffic.
+                || !shared.drained_for(filter),
                 || hints.is_some_and(|b| b.delivered(proc)),
             );
         }

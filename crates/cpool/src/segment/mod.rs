@@ -131,6 +131,10 @@ pub trait Segment: Send + Sync + 'static {
     /// Atomically removes ⌈n/2⌉ of the `n` elements present and returns
     /// them; returns an empty vector if the segment was empty.
     ///
+    /// [`KeyedSegment`](crate::keyed::KeyedSegment) applies the rule to one
+    /// bucket: it steals ⌈b/2⌉ of its largest bucket `b`, so it returns an
+    /// empty vector exactly when the whole segment is empty.
+    ///
     /// This is the thief side of the steal protocol. The batch is handed
     /// back by value so the thief can move it into its own segment without
     /// ever holding two segment locks at once (deadlock freedom by
@@ -287,10 +291,16 @@ mod tests {
         check_contract::<AtomicCounter>();
     }
 
-    fn check_element_contract<S: Segment<Item = u32>>() {
+    /// The element contract over any item type: `item` builds the element
+    /// for value `i`, and items compare (sorted) as their values do.
+    fn check_element_contract<S: Segment>(item: impl Fn(u32) -> S::Item)
+    where
+        S::Item: Ord + std::fmt::Debug,
+    {
+        let items = |range: std::ops::Range<u32>| range.map(&item).collect::<Vec<_>>();
         let seg = S::new();
-        for i in 0..9u32 {
-            seg.add(i);
+        for x in items(0..9) {
+            seg.add(x);
         }
         let mut all = seg.steal_half();
         assert_eq!(all.len(), 5);
@@ -301,38 +311,45 @@ mod tests {
             all.push(x);
         }
         all.sort_unstable();
-        assert_eq!(all, (0..9).collect::<Vec<_>>());
+        assert_eq!(all, items(0..9));
 
         // Batched removal conserves values exactly like per-element ops.
-        for i in 10..20u32 {
-            seg.add(i);
+        for x in items(10..20) {
+            seg.add(x);
         }
         let mut batched = seg.remove_up_to(4);
         assert_eq!(batched.len(), 4);
         batched.extend(seg.drain_all());
         batched.sort_unstable();
-        assert_eq!(batched, (10..20).collect::<Vec<_>>());
+        assert_eq!(batched, items(10..20));
         assert!(seg.is_empty());
     }
 
     #[test]
     fn vec_segment_contract() {
-        check_element_contract::<VecSegment<u32>>();
+        check_element_contract::<VecSegment<u32>>(|i| i);
     }
 
     #[test]
     fn lf_segment_contract() {
-        check_element_contract::<LfSegment<u32>>();
+        check_element_contract::<LfSegment<u32>>(|i| i);
     }
 
     #[test]
     fn lane_over_vec_contract() {
-        check_element_contract::<LaneSegment<VecSegment<u32>, 4>>();
+        check_element_contract::<LaneSegment<VecSegment<u32>, 4>>(|i| i);
     }
 
     #[test]
     fn lane_over_lf_contract() {
-        check_element_contract::<LaneSegment<LfSegment<u32>, 3>>();
+        check_element_contract::<LaneSegment<LfSegment<u32>, 3>>(|i| i);
+    }
+
+    #[test]
+    fn keyed_segment_contract() {
+        // One key: the contract's ⌈n/2⌉ is of the whole segment, and a
+        // keyed steal takes ⌈b/2⌉ of its largest bucket `b`.
+        check_element_contract::<crate::keyed::KeyedSegment<u8, u32>>(|i| (0, i));
     }
 
     #[test]

@@ -7,8 +7,20 @@
 
 use proptest::prelude::*;
 
+use cpool::keyed::KeyedSegment;
 use cpool::segment::steal_count;
 use cpool::{AtomicCounter, LaneSegment, LfSegment, LockedCounter, Segment, VecSegment};
+
+/// A keyed element under one key: the model tests assert ⌈n/2⌉ of the
+/// whole segment, which a keyed steal takes of its largest bucket.
+fn one_key(v: u32) -> (u8, u32) {
+    (0, v)
+}
+
+/// A keyed element spread over several keys, for the conservation tests.
+fn some_keys(v: u32) -> (u8, u32) {
+    ((v % 3) as u8, v)
+}
 
 /// One step of a generated workload.
 #[derive(Clone, Copy, Debug)]
@@ -79,26 +91,30 @@ fn check_counting_model<S: Segment<Item = ()>>(script: &[Step]) {
 }
 
 /// Drives an element segment and a multiset model in lockstep: elements are
-/// conserved and never invented, whichever path they travel.
-fn check_element_model<S: Segment<Item = u32>>(script: &[Step]) {
+/// conserved and never invented, whichever path they travel. `item` builds
+/// the element for a generated value.
+fn check_element_model<S: Segment>(script: &[Step], item: impl Fn(u32) -> S::Item)
+where
+    S::Item: Clone + Ord + std::fmt::Debug,
+{
     let seg = S::new();
-    let mut model: Vec<u32> = Vec::new();
+    let mut model: Vec<S::Item> = Vec::new();
     let mut next_bulk = 10_000u32;
-    let drain_from_model = |model: &mut Vec<u32>, batch: Vec<u32>| {
+    let drain_from_model = |model: &mut Vec<S::Item>, batch: Vec<S::Item>| {
         for v in batch {
-            let at = model.iter().position(|&m| m == v).expect("batched a known value");
+            let at = model.iter().position(|m| *m == v).expect("batched a known value");
             model.swap_remove(at);
         }
     };
     for step in script {
         match step {
             Step::Add(v) => {
-                seg.add(*v);
-                model.push(*v);
+                seg.add(item(*v));
+                model.push(item(*v));
             }
             Step::Remove => match seg.try_remove() {
                 Some(v) => {
-                    let at = model.iter().position(|&m| m == v).expect("removed a known value");
+                    let at = model.iter().position(|m| *m == v).expect("removed a known value");
                     model.swap_remove(at);
                 }
                 None => assert!(model.is_empty()),
@@ -109,9 +125,9 @@ fn check_element_model<S: Segment<Item = u32>>(script: &[Step]) {
                 drain_from_model(&mut model, stolen);
             }
             Step::AddBulk(k) => {
-                let batch: Vec<u32> = (0..*k as u32).map(|i| next_bulk + i).collect();
+                let batch: Vec<S::Item> = (0..*k as u32).map(|i| item(next_bulk + i)).collect();
                 next_bulk += u32::from(*k);
-                model.extend(&batch);
+                model.extend(batch.iter().cloned());
                 seg.add_bulk(batch);
             }
             Step::RemoveUpTo(k) => {
@@ -143,18 +159,23 @@ fn check_element_model<S: Segment<Item = u32>>(script: &[Step]) {
 /// member (the pool's two-phase transfer), mixed with single-element and
 /// batched traffic, never create or destroy an element. Checked on the
 /// *count* so it covers counting segments too; the element-level multiset
-/// version rides `check_element_model`.
-fn check_transfer_conservation<S: Segment<Item = ()>>(script: &[Step], seed_elems: usize) {
+/// version rides `check_element_model`. `item` builds the element for a
+/// generated value.
+fn check_transfer_conservation<S: Segment>(
+    script: &[Step],
+    seed_elems: usize,
+    item: impl Fn(u32) -> S::Item,
+) {
     let family = S::new_family(2);
     let (victim, thief) = (&family[0], &family[1]);
-    for _ in 0..seed_elems {
-        victim.add(());
+    for i in 0..seed_elems {
+        victim.add(item(i as u32));
     }
     let mut total = seed_elems;
     for step in script {
         match step {
-            Step::Add(_) => {
-                victim.add(());
+            Step::Add(v) => {
+                victim.add(item(*v));
                 total += 1;
             }
             Step::Remove => {
@@ -171,7 +192,7 @@ fn check_transfer_conservation<S: Segment<Item = ()>>(script: &[Step], seed_elem
                 assert_eq!(victim.len() + thief.len(), total, "steal→refill conserves ({moved})");
             }
             Step::AddBulk(k) => {
-                thief.add_bulk(vec![(); *k as usize]);
+                thief.add_bulk((0..u32::from(*k)).map(&item).collect());
                 total += *k as usize;
             }
             Step::RemoveUpTo(k) => {
@@ -203,22 +224,27 @@ proptest! {
 
     #[test]
     fn vec_segment_matches_model(script in steps()) {
-        check_element_model::<VecSegment<u32>>(&script);
+        check_element_model::<VecSegment<u32>>(&script, |v| v);
     }
 
     #[test]
     fn lf_segment_matches_model(script in steps()) {
-        check_element_model::<LfSegment<u32>>(&script);
+        check_element_model::<LfSegment<u32>>(&script, |v| v);
     }
 
     #[test]
     fn lane_over_vec_matches_model(script in steps()) {
-        check_element_model::<LaneSegment<VecSegment<u32>, 4>>(&script);
+        check_element_model::<LaneSegment<VecSegment<u32>, 4>>(&script, |v| v);
     }
 
     #[test]
     fn lane_over_lf_matches_model(script in steps()) {
-        check_element_model::<LaneSegment<LfSegment<u32>, 3>>(&script);
+        check_element_model::<LaneSegment<LfSegment<u32>, 3>>(&script, |v| v);
+    }
+
+    #[test]
+    fn keyed_segment_matches_model(script in steps()) {
+        check_element_model::<KeyedSegment<u8, u32>>(&script, one_key);
     }
 
     #[test]
@@ -231,27 +257,32 @@ proptest! {
 
     #[test]
     fn locked_counter_transfer_conserves(script in steps(), seed in 0usize..64) {
-        check_transfer_conservation::<LockedCounter>(&script, seed);
+        check_transfer_conservation::<LockedCounter>(&script, seed, |_| ());
     }
 
     #[test]
     fn atomic_counter_transfer_conserves(script in steps(), seed in 0usize..64) {
-        check_transfer_conservation::<AtomicCounter>(&script, seed);
+        check_transfer_conservation::<AtomicCounter>(&script, seed, |_| ());
     }
 
     #[test]
     fn vec_segment_transfer_conserves(script in steps(), seed in 0usize..64) {
-        check_transfer_conservation::<VecSegment<()>>(&script, seed);
+        check_transfer_conservation::<VecSegment<()>>(&script, seed, |_| ());
     }
 
     #[test]
     fn lf_segment_transfer_conserves(script in steps(), seed in 0usize..64) {
-        check_transfer_conservation::<LfSegment<()>>(&script, seed);
+        check_transfer_conservation::<LfSegment<()>>(&script, seed, |_| ());
     }
 
     #[test]
     fn lane_over_vec_transfer_conserves(script in steps(), seed in 0usize..64) {
-        check_transfer_conservation::<LaneSegment<VecSegment<()>, 4>>(&script, seed);
+        check_transfer_conservation::<LaneSegment<VecSegment<()>, 4>>(&script, seed, |_| ());
+    }
+
+    #[test]
+    fn keyed_segment_transfer_conserves(script in steps(), seed in 0usize..64) {
+        check_transfer_conservation::<KeyedSegment<u8, u32>>(&script, seed, some_keys);
     }
 
     /// The steal rule itself: thief takes ⌈n/2⌉, victim keeps ⌊n/2⌋, and a
@@ -277,36 +308,49 @@ proptest! {
     /// Concurrent thieves on one segment: nothing is lost or duplicated.
     #[test]
     fn concurrent_steals_conserve(initial in 1usize..400, thieves in 1usize..6) {
-        check_concurrent_steals(&VecSegment::<u32>::new(), initial, thieves)?;
+        check_concurrent_steals(&VecSegment::<u32>::new(), initial, thieves, |v| v)?;
     }
 
     /// Concurrent thieves on the lock-free segment: the CAS-reservation
     /// split never loses or duplicates an element.
     #[test]
     fn concurrent_lf_steals_conserve(initial in 1usize..400, thieves in 1usize..6) {
-        check_concurrent_steals(&LfSegment::<u32>::new(), initial, thieves)?;
+        check_concurrent_steals(&LfSegment::<u32>::new(), initial, thieves, |v| v)?;
     }
 
     /// Concurrent thieves racing across a sharded segment's lanes: the
     /// per-lane sweeps together conserve the whole multiset.
     #[test]
     fn concurrent_lane_steals_conserve(initial in 1usize..400, thieves in 1usize..6) {
-        check_concurrent_steals(&LaneSegment::<VecSegment<u32>, 4>::new(), initial, thieves)?;
+        check_concurrent_steals(&LaneSegment::<VecSegment<u32>, 4>::new(), initial, thieves, |v| v)?;
+    }
+
+    /// Concurrent thieves on a keyed segment, each steal taking half of
+    /// the largest bucket: the bucket-wise steals together conserve the
+    /// whole multiset across keys.
+    #[test]
+    fn concurrent_keyed_steals_conserve(initial in 1usize..400, thieves in 1usize..6) {
+        check_concurrent_steals(&KeyedSegment::<u8, u32>::new(), initial, thieves, some_keys)?;
     }
 }
 
-/// Fills `seg` with `initial` distinct values, lets `thieves` threads
-/// steal half at a time until it is empty, and checks that the stolen
-/// batches together hold exactly the original values.
-fn check_concurrent_steals<S: Segment<Item = u32>>(
+/// Fills `seg` with `initial` distinct values (`item` builds each
+/// element), lets `thieves` threads steal half at a time until it is
+/// empty, and checks that the stolen batches together hold exactly the
+/// original values.
+fn check_concurrent_steals<S: Segment>(
     seg: &S,
     initial: usize,
     thieves: usize,
-) -> Result<(), TestCaseError> {
+    item: impl Fn(u32) -> S::Item,
+) -> Result<(), TestCaseError>
+where
+    S::Item: Ord + std::fmt::Debug,
+{
     for i in 0..initial {
-        seg.add(i as u32);
+        seg.add(item(i as u32));
     }
-    let mut all: Vec<u32> = std::thread::scope(|s| {
+    let mut all: Vec<S::Item> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..thieves)
             .map(|_| {
                 s.spawn(|| {
@@ -324,7 +368,9 @@ fn check_concurrent_steals<S: Segment<Item = u32>>(
         handles.into_iter().flat_map(|h| h.join().expect("thief panicked")).collect()
     });
     all.sort_unstable();
-    prop_assert_eq!(all, (0..initial as u32).collect::<Vec<_>>());
+    let mut want: Vec<S::Item> = (0..initial as u32).map(item).collect();
+    want.sort_unstable();
+    prop_assert_eq!(all, want);
     prop_assert_eq!(seg.len(), 0);
     Ok(())
 }

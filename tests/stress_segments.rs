@@ -5,8 +5,8 @@
 //! between family members, under hard watchdog deadlines.
 //!
 //! Run for every element segment — the mutex deque, the fully lock-free
-//! `LfSegment`, and the sharded `LaneSegment` over both —
-//! the driver asserts the two properties that survive any interleaving:
+//! `LfSegment`, the sharded `LaneSegment` over both, and the key-bucketed
+//! `KeyedSegment` — the driver asserts the two properties that survive any interleaving:
 //!
 //! * **conservation** — globally unique values, checksummed: every element
 //!   added is consumed or still resident exactly once, so loss and
@@ -26,6 +26,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
+use cpool::keyed::KeyedSegment;
 use cpool::{LaneSegment, LfSegment, Segment, VecSegment};
 
 /// Runs `scenario` on its own thread and panics if it does not finish
@@ -62,7 +63,9 @@ fn expected_checksum() -> u64 {
 /// segment of a family while `THIEVES` threads continuously steal from
 /// every segment and deposit into their own — elements bounce between
 /// family members through the native batch currency the whole time.
-fn segment_fleet_conservation<S: Segment<Item = u64>>() {
+/// `make` builds the element for a value and `value` reads it back for the
+/// checksum.
+fn segment_fleet_conservation<S: Segment>(make: fn(u64) -> S::Item, value: fn(S::Item) -> u64) {
     let family = S::new_family(SEGMENTS);
     let consumed = AtomicU64::new(0);
     let live_owners = AtomicU64::new(OWNERS as u64);
@@ -73,13 +76,13 @@ fn segment_fleet_conservation<S: Segment<Item = u64>>() {
                 let home = &family[o % SEGMENTS];
                 let mut sum = 0u64;
                 for (i, v) in values_of(o).enumerate() {
-                    home.add(v);
+                    home.add(make(v));
                     // Every other op, take one back — from anywhere in the
                     // family, since a thief may have moved ours.
                     if i % 2 == 0 {
                         for seg in family {
                             if let Some(got) = seg.try_remove() {
-                                sum += got;
+                                sum += value(got);
                                 break;
                             }
                         }
@@ -116,7 +119,7 @@ fn segment_fleet_conservation<S: Segment<Item = u64>>() {
     // Settle the books single-threaded: residue + consumed == pushed.
     let mut residue = 0u64;
     for seg in &family {
-        residue += seg.drain_all().into_iter().sum::<u64>();
+        residue += seg.drain_all().into_iter().map(value).sum::<u64>();
         assert!(seg.is_empty(), "drain_all leaves the segment empty");
         assert_eq!(seg.len(), 0, "occupancy agrees with emptiness at quiescence");
     }
@@ -127,30 +130,45 @@ fn segment_fleet_conservation<S: Segment<Item = u64>>() {
     );
 }
 
+fn id(v: u64) -> u64 {
+    v
+}
+
 #[test]
 fn vec_segment_fleet_conservation() {
-    with_deadline(Duration::from_secs(120), segment_fleet_conservation::<VecSegment<u64>>);
+    with_deadline(Duration::from_secs(120), || {
+        segment_fleet_conservation::<VecSegment<u64>>(id, id);
+    });
 }
 
 #[test]
 fn lf_segment_fleet_conservation() {
-    with_deadline(Duration::from_secs(120), segment_fleet_conservation::<LfSegment<u64>>);
+    with_deadline(Duration::from_secs(120), || {
+        segment_fleet_conservation::<LfSegment<u64>>(id, id);
+    });
 }
 
 #[test]
 fn lane_over_vec_fleet_conservation() {
-    with_deadline(
-        Duration::from_secs(120),
-        segment_fleet_conservation::<LaneSegment<VecSegment<u64>, 4>>,
-    );
+    with_deadline(Duration::from_secs(120), || {
+        segment_fleet_conservation::<LaneSegment<VecSegment<u64>, 4>>(id, id);
+    });
 }
 
 #[test]
 fn lane_over_lf_fleet_conservation() {
-    with_deadline(
-        Duration::from_secs(120),
-        segment_fleet_conservation::<LaneSegment<LfSegment<u64>, 2>>,
-    );
+    with_deadline(Duration::from_secs(120), || {
+        segment_fleet_conservation::<LaneSegment<LfSegment<u64>, 2>>(id, id);
+    });
+}
+
+/// The keyed segment over several keys: thieves take half of the largest
+/// bucket, refills land bucket-wise, and owners remove any key.
+#[test]
+fn keyed_segment_fleet_conservation() {
+    with_deadline(Duration::from_secs(120), || {
+        segment_fleet_conservation::<KeyedSegment<u8, u64>>(|v| ((v % 7) as u8, v), |(_, v)| v);
+    });
 }
 
 /// The lane-sweep regression, concurrent edition: a producer with one fixed
