@@ -24,8 +24,11 @@
 //!    monomorphizes to bare lock/steal code with every charge inlined away,
 //!    while runtime-selected models ride the
 //!    [`DynTiming`](crate::timing::DynTiming) adapter through the same code.
-//! 5. **Per-process statistics** — operation outcomes and latencies are
-//!    recorded into a private [`ProcStats`] block ([`OpTimer`]).
+//! 5. **Per-process statistics** — operation outcomes are counted into a
+//!    private [`ProcStats`] block on every operation ([`OpTimer`]).
+//!    Latencies are sampled per handle ([`Sampler`]): every operation on a
+//!    virtual clock, one in [`SAMPLE_PERIOD`] of each kind on a wall clock,
+//!    whose reads would otherwise cost more than the operation they price.
 //!
 //! Keeping all five in one module means later optimisation passes
 //! (lock-narrowing, sharding, async frontends, blocking removes) have
@@ -44,7 +47,7 @@ use crate::magazine::{Depot, MagazineCache, PopOutcome};
 use crate::notify::{Notifier, WaitOutcome};
 use crate::ops::WaitStrategy;
 use crate::segment::Segment;
-use crate::stats::{PoolStats, ProcStats};
+use crate::stats::{Histogram, PoolStats, ProcStats};
 use crate::timing::{Resource, Timing};
 
 /// Process registration and statistics collection, shared by all pool
@@ -111,79 +114,170 @@ impl Registry {
     }
 }
 
+/// Latency sampling period on a wall-clock cost model: a handle times one
+/// operation in this many of each kind (a power of two).
+pub(crate) const SAMPLE_PERIOD: u32 = 16;
+
+/// A handle's latency-sampling countdowns, kept beside its [`ProcStats`]:
+/// every operation takes exactly one [`Tick`], and only a due tick reads
+/// the clock.
+///
+/// Adds and removes count down separately: a workload that alternates
+/// them (the keyed add+remove pair, a producer/consumer handoff) would
+/// otherwise land every due tick on the same kind. The period is
+/// [`SAMPLE_PERIOD`] when the pool's clock [is a wall
+/// clock](Timing::is_wall_clock) and 1 otherwise, so a virtual-time model
+/// times every operation and its figures stay exact. A fresh sampler's
+/// first operation of each kind is due.
+#[derive(Debug)]
+pub(crate) struct Sampler {
+    /// Period − 1: a kind's tick is due when its count is a multiple of
+    /// the period.
+    mask: u32,
+    adds: u32,
+    removes: u32,
+}
+
+impl Sampler {
+    /// A sampler for a pool over `timing`.
+    pub fn new<T: Timing>(timing: &T) -> Self {
+        let period = if timing.is_wall_clock() { SAMPLE_PERIOD } else { 1 };
+        Sampler { mask: period - 1, adds: 0, removes: 0 }
+    }
+
+    /// The tick of one add (single, batched or cached).
+    pub fn add(&mut self) -> Tick {
+        Self::tick(&mut self.adds, self.mask)
+    }
+
+    /// The tick of one remove (a pass, a batch, a drain, or a cached pop).
+    pub fn remove(&mut self) -> Tick {
+        Self::tick(&mut self.removes, self.mask)
+    }
+
+    fn tick(count: &mut u32, mask: u32) -> Tick {
+        let due = *count & mask == 0;
+        *count = count.wrapping_add(1);
+        Tick(if due { u64::from(mask) + 1 } else { 0 })
+    }
+}
+
+/// One operation's sampling verdict: the weight a timed operation's
+/// latency carries in the `*_ns` sums (the sampling period), or 0 when the
+/// operation is not timed.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Tick(u64);
+
+impl Tick {
+    /// Whether this operation is timed.
+    pub fn is_due(self) -> bool {
+        self.0 > 0
+    }
+}
+
 /// Times one pool operation and records its outcome into [`ProcStats`].
 ///
 /// Created at the top of `add` / `try_remove`; exactly one `finish_*`
 /// method is called on every exit path, so the stats identities
-/// (`ops == adds + removes + aborted_removes`, histogram counts, ...)
-/// hold by construction.
+/// (`ops == adds + removes + aborted_removes`, ...) hold by construction.
+/// Counters are updated on every operation. Latencies only on a timed one:
+/// it records its `dt` once into the histogram and adds `weight · dt` to
+/// the `*_ns` sums, so the mean latencies stay unbiased estimates; an
+/// untimed operation never reads the clock.
 pub(crate) struct OpTimer<'a, T: Timing> {
     timing: &'a T,
     me: ProcId,
+    /// The operation's [`Tick`] weight: 0 when it is not timed.
+    weight: u64,
     t0: u64,
 }
 
 impl<'a, T: Timing> OpTimer<'a, T> {
     /// Starts timing an operation, charging `overhead_ns` of fixed
     /// per-operation computation first (see `PoolBuilder::op_overhead`).
+    /// The operation is always timed, with weight 1 (the pool's own
+    /// operations start through [`sampled`](Self::sampled)).
+    #[cfg(test)]
     pub fn start(timing: &'a T, me: ProcId, overhead_ns: u64) -> Self {
-        let t0 = timing.now(me);
+        Self::sampled(timing, me, overhead_ns, Tick(1))
+    }
+
+    /// [`start`](Self::start) under a sampler's verdict: an undue `tick`
+    /// still charges the overhead and counts the outcome, but never reads
+    /// the clock.
+    pub fn sampled(timing: &'a T, me: ProcId, overhead_ns: u64, tick: Tick) -> Self {
+        let t0 = if tick.is_due() { timing.now(me) } else { 0 };
         if overhead_ns > 0 {
             timing.charge_work(me, overhead_ns);
         }
-        OpTimer { timing, me, t0 }
+        OpTimer { timing, me, weight: tick.0, t0 }
     }
 
-    fn elapsed(&self) -> u64 {
-        self.timing.now(self.me).saturating_sub(self.t0)
+    /// The clock now if the operation is timed, else 0: the start of a
+    /// search, for [`finish_steal_remove`](Self::finish_steal_remove).
+    pub fn search_t0(&self) -> u64 {
+        if self.weight > 0 {
+            self.timing.now(self.me)
+        } else {
+            0
+        }
+    }
+
+    /// Records the operation's latency into `sum` (scaled by the weight)
+    /// and `hist`, if it is timed.
+    fn record(&self, sum: &mut u64, hist: &mut Histogram) {
+        if self.weight > 0 {
+            let dt = self.timing.now(self.me).saturating_sub(self.t0);
+            *sum += self.weight * dt;
+            hist.record(dt);
+        }
     }
 
     /// Completes an add (`donated`: the element went to a searching
     /// process's mailbox instead of the local segment).
     pub fn finish_add(self, stats: &mut ProcStats, donated: bool) {
-        let dt = self.elapsed();
         stats.adds += 1;
         if donated {
             stats.donated_adds += 1;
         }
-        stats.add_ns += dt;
-        stats.add_hist.record(dt);
+        self.record(&mut stats.add_ns, &mut stats.add_hist);
     }
 
     /// Completes a remove served from the local segment.
     pub fn finish_local_remove(self, stats: &mut ProcStats) {
-        let dt = self.elapsed();
         stats.removes += 1;
-        stats.remove_ns += dt;
-        stats.remove_hist.record(dt);
+        self.record(&mut stats.remove_ns, &mut stats.remove_hist);
     }
 
-    /// Completes a remove satisfied by stealing `stolen` elements; search
-    /// time from `search_t0` onwards is charged as steal time.
+    /// Completes a remove satisfied by stealing `stolen` elements; time
+    /// from `search_t0` (read by [`search_t0`](Self::search_t0) when the
+    /// search began) onwards is charged as steal time.
     pub fn finish_steal_remove(self, stats: &mut ProcStats, stolen: usize, search_t0: u64) {
-        let now = self.timing.now(self.me);
-        let dt = now.saturating_sub(self.t0);
         stats.removes += 1;
         stats.steals += 1;
         stats.elements_stolen += stolen as u64;
-        stats.remove_ns += dt;
-        stats.steal_ns += now.saturating_sub(search_t0);
-        stats.remove_hist.record(dt);
+        if self.weight > 0 {
+            let now = self.timing.now(self.me);
+            let dt = now.saturating_sub(self.t0);
+            stats.remove_ns += self.weight * dt;
+            stats.steal_ns += self.weight * now.saturating_sub(search_t0);
+            stats.remove_hist.record(dt);
+        }
     }
 
     /// Completes a remove satisfied by a hint delivery (no steal).
     pub fn finish_hinted_remove(self, stats: &mut ProcStats) {
-        let dt = self.elapsed();
         stats.removes += 1;
         stats.hinted_removes += 1;
-        stats.remove_ns += dt;
-        stats.remove_hist.record(dt);
+        self.record(&mut stats.remove_ns, &mut stats.remove_hist);
     }
 
     /// Completes a remove aborted by the livelock breaker.
     pub fn finish_aborted(self, stats: &mut ProcStats) {
         stats.aborted_removes += 1;
-        stats.abort_ns += self.elapsed();
+        if self.weight > 0 {
+            stats.abort_ns += self.weight * self.timing.now(self.me).saturating_sub(self.t0);
+        }
     }
 
     /// Completes a batched add of `n` elements, `donated` of which went to
@@ -197,11 +291,9 @@ impl<'a, T: Timing> OpTimer<'a, T> {
         if n == 0 {
             return;
         }
-        let dt = self.elapsed();
         stats.adds += n as u64;
         stats.donated_adds += donated as u64;
-        stats.add_ns += dt;
-        stats.add_hist.record(dt);
+        self.record(&mut stats.add_ns, &mut stats.add_hist);
     }
 
     /// Completes a batched remove that obtained `n` elements without a
@@ -215,10 +307,8 @@ impl<'a, T: Timing> OpTimer<'a, T> {
         if n == 0 {
             return;
         }
-        let dt = self.elapsed();
         stats.removes += n as u64;
-        stats.remove_ns += dt;
-        stats.remove_hist.record(dt);
+        self.record(&mut stats.remove_ns, &mut stats.remove_hist);
     }
 
     // Magazine-cache hits are recorded clock-free through
@@ -229,10 +319,8 @@ impl<'a, T: Timing> OpTimer<'a, T> {
     /// shared depot — a pool-visible source, so it is *not* a magazine
     /// hit; the frontend counts the raid in `depot_exchanges`.
     pub fn finish_depot_remove(self, stats: &mut ProcStats) {
-        let dt = self.elapsed();
         stats.removes += 1;
-        stats.remove_ns += dt;
-        stats.remove_hist.record(dt);
+        self.record(&mut stats.remove_ns, &mut stats.remove_hist);
     }
 }
 
@@ -253,13 +341,11 @@ pub(crate) struct SearchSession<'a, T: Timing> {
     lap: u64,
     examined: u64,
     nodes_visited: u64,
-    started_ns: u64,
     _guard: Option<SearchGuard<'a>>,
 }
 
 impl<'a, T: Timing> SearchSession<'a, T> {
-    /// Begins a search: records the start time and marks the process as
-    /// searching.
+    /// Begins a search: marks the process as searching.
     pub fn begin(timing: &'a T, gate: &'a SearchGate, me: ProcId, home: SegIdx, lap: u64) -> Self {
         let mut session = Self::begin_detached(timing, gate, me, home, lap);
         session._guard = Some(gate.begin_search());
@@ -289,18 +375,7 @@ impl<'a, T: Timing> SearchSession<'a, T> {
         home: SegIdx,
         lap: u64,
     ) -> Self {
-        let started_ns = timing.now(me);
-        SearchSession {
-            timing,
-            gate,
-            me,
-            home,
-            lap,
-            examined: 0,
-            nodes_visited: 0,
-            started_ns,
-            _guard: None,
-        }
+        SearchSession { timing, gate, me, home, lap, examined: 0, nodes_visited: 0, _guard: None }
     }
 
     /// The searching process.
@@ -311,11 +386,6 @@ impl<'a, T: Timing> SearchSession<'a, T> {
     /// The searcher's home segment.
     pub fn home(&self) -> SegIdx {
         self.home
-    }
-
-    /// When the search began (per the pool's clock).
-    pub fn started_ns(&self) -> u64 {
-        self.started_ns
     }
 
     /// Victim segments probed so far.

@@ -81,7 +81,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::Instant;
 
-use crate::core::{drive_remove, Any, KeyFilter, RemoveFilter, WaitCtl};
+use crate::core::{drive_remove, Any, KeyFilter, OpTimer, RemoveFilter, Sampler, WaitCtl};
 use crate::error::RemoveError;
 use crate::ids::{ProcId, SegIdx};
 use crate::keyed::KeyedSegment;
@@ -108,6 +108,7 @@ pub struct RemoveFuture<S: Segment, P: SearchPolicy, T: Timing = NullTiming, F =
     home: SegIdx,
     state: P::State,
     stats: ProcStats,
+    sampler: Sampler,
     filter: F,
     /// Armed waker-registration ticket, carried between polls so the next
     /// poll (or drop) can withdraw it.
@@ -150,12 +151,14 @@ impl<S: Segment, P: SearchPolicy, T: Timing, F> RemoveFuture<S, P, T, F> {
         filter: F,
     ) -> Self {
         let state = shared.init_state(home);
+        let sampler = Sampler::new(&shared.timing);
         RemoveFuture {
             shared,
             me,
             home,
             state,
             stats: ProcStats::default(),
+            sampler,
             filter,
             slot: None,
             deadline,
@@ -196,6 +199,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing, F: RemoveFilter<S>> Future
         let out = drive_remove(
             &mut ctl,
             |ctl| {
+                let timer = OpTimer::sampled(&shared.timing, this.me, 0, this.sampler.remove());
                 shared.remove_pass(
                     filter,
                     this.me,
@@ -203,7 +207,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing, F: RemoveFilter<S>> Future
                     &mut this.state,
                     &mut this.stats,
                     true,
-                    0,
+                    timer,
                     Some(ctl),
                 )
             },

@@ -93,7 +93,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::core::{KeyFilter, OpTimer, RemoveFilter};
+use crate::core::{KeyFilter, RemoveFilter};
 use crate::error::RemoveError;
 use crate::future::{KeyedRemoveFuture, RemoveKeyFuture};
 use crate::hotkey::{HotKeyConfig, HotKeyDetector};
@@ -1448,16 +1448,13 @@ impl<K: Key, V: Send + 'static> HotCache<K, V> {
     /// The keyed remove's fast path: a cached split bucket serves the
     /// remove under one sub-shard lock, never touching the segment lock.
     /// An empty or sealed result falls through to the full pass (which can
-    /// steal the key from remote segments).
-    fn pop<T: Timing>(&mut self, h: &mut Inner<K, V, T>, key: &K) -> Option<V> {
+    /// steal the key from remote segments) under the same operation timer,
+    /// which the caller started and finishes.
+    fn pop<T: Timing>(&mut self, h: &Inner<K, V, T>, key: &K) -> Option<V> {
         let hot = self.get(key)?;
-        let timer = OpTimer::start(&h.shared.timing, h.me, 0);
         h.shared.timing.charge(h.me, Resource::Segment(h.seg));
         match h.shared.segments[h.seg.index()].hot_pop(hot, h.me.index()) {
-            HotPop::Got(value) => {
-                timer.finish_local_remove(&mut h.stats);
-                Some(value)
-            }
+            HotPop::Got(value) => Some(value),
             HotPop::Sealed => {
                 self.remove(key);
                 None

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
-use crate::core::{Any, OpTimer, Registry, RemoveFilter, SearchSession, WaitCtl};
+use crate::core::{Any, OpTimer, Registry, RemoveFilter, Sampler, SearchSession, WaitCtl};
 use crate::error::RemoveError;
 use crate::future::RemoveFuture;
 use crate::gate::SearchGate;
@@ -403,6 +403,10 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
     /// Key-scoped passes only run on keyed pools, which never enable the
     /// hint board, so a donation can never hand a scoped search an element
     /// outside its scope.
+    ///
+    /// `timer` is the operation's, started by the caller (with its sampling
+    /// verdict and overhead charge) so an operation whose fast path missed
+    /// carries one timer into the pass.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn remove_pass<F: RemoveFilter<S>>(
         &self,
@@ -412,10 +416,9 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
         state: &mut P::State,
         stats: &mut ProcStats,
         detached: bool,
-        overhead_ns: u64,
+        timer: OpTimer<'_, T>,
         wait: Option<&mut WaitCtl<'_>>,
     ) -> Result<F::Output, RemoveError> {
-        let timer = OpTimer::start(&self.timing, me, overhead_ns);
         self.timing.charge(me, Resource::Segment(home));
         if let Some(out) = filter.take_local(&self.segments[home.index()]) {
             timer.finish_local_remove(stats);
@@ -457,6 +460,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
         // a way single-element deliveries cannot — and donations target
         // exactly the long-tail searches that batches cannot satisfy.
         let lap = self.segments.len() as u64;
+        let search_t0 = timer.search_t0();
         let session = if detached {
             SearchSession::begin_detached(&self.timing, self.registry.gate(), me, home, lap)
         } else {
@@ -475,7 +479,6 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
         };
         let outcome = self.policy.search(state, &mut env);
         let PoolSearchEnv { session, stolen, mut taken, victim, hints, .. } = env;
-        let search_t0 = session.started_ns();
         stats.segments_examined += session.examined();
         stats.tree_nodes_visited += session.nodes_visited();
         // End the search (releasing the gate) before touching the board so
@@ -694,6 +697,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Pool<S, P, T> {
             seg,
             state,
             stats: ProcStats::default(),
+            sampler: Sampler::new(&self.shared.timing),
             poll_slot: None,
             magazine,
         }
@@ -727,6 +731,8 @@ pub struct Handle<S: Segment, P: SearchPolicy, T: Timing = NullTiming> {
     pub(crate) seg: SegIdx,
     state: P::State,
     pub(crate) stats: ProcStats,
+    /// The latency-sampling countdowns: which operations read the clock.
+    sampler: Sampler,
     /// Armed waker-registration ticket from [`poll_remove`](Self::poll_remove)
     /// (the handle-level poll API; [`RemoveFuture`] keeps its own slot).
     /// Cancelled on drop so a retired handle cannot leave a dangling
@@ -841,8 +847,11 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
     pub(crate) fn add_with(&mut self, item: S::Item, place: impl FnOnce(&S, ProcId, S::Item)) {
         let mut item = item;
         // Magazine fast path, before the timer even starts: a cached add is
-        // a handful of thread-local instructions, and the timer's two clock
+        // a handful of thread-local instructions, and a timed op's two clock
         // reads would dominate it (see `ProcStats::record_cached_add`).
+        // Each exit takes the op's one sampling tick where it records:
+        // ticking before the cache call kept the sampler live across it,
+        // which cost the cached add/remove pair about 10%.
         // Hint donation is skipped for cached adds — hint waiters are
         // *searching* (not parked) processes, and a fruitless search aborts
         // rather than blocks; parked/async waiters are what the check below
@@ -870,7 +879,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
                         if self.shared.add_overhead_ns > 0 {
                             self.shared.timing.charge_work(self.me, self.shared.add_overhead_ns);
                         }
-                        self.stats.record_cached_add();
+                        self.stats.record_cached_add(self.sampler.add().is_due());
                         return;
                     }
                     CacheOutcome::Exchanged => {
@@ -881,7 +890,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
                         }
                         self.stats.depot_exchanges += 1;
                         self.shared.registry.notifier().notify_all();
-                        self.stats.record_cached_add();
+                        self.stats.record_cached_add(self.sampler.add().is_due());
                         return;
                     }
                     // Depot saturated: fall through to the shared path.
@@ -889,7 +898,9 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
                 }
             }
         }
-        let timer = OpTimer::start(&self.shared.timing, self.me, self.shared.add_overhead_ns);
+        let tick = self.sampler.add();
+        let timer =
+            OpTimer::sampled(&self.shared.timing, self.me, self.shared.add_overhead_ns, tick);
         if let Some(board) = &self.shared.hints {
             if board.has_waiters() {
                 // The board is a shared structure: charge the donation
@@ -930,7 +941,9 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
 
     /// One remove attempt scoped by `filter`: the private magazines, then
     /// `fast` (a frontend shortcut that bypasses the segment lock; the
-    /// plain remove has none), then one [`Shared::remove_pass`].
+    /// plain remove has none), then one [`Shared::remove_pass`]. The
+    /// attempt takes one sampling tick, and one timer runs from the miss
+    /// of the magazines through `fast` and the pass.
     ///
     /// The per-operation overhead charge is explicit (so the batched paths
     /// — which already paid the overhead for the whole batch — can fall
@@ -942,38 +955,23 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
         filter: &F,
         overhead_ns: u64,
         wait: Option<&mut WaitCtl<'_>>,
-        fast: impl FnOnce(&mut Self) -> Option<F::Output>,
+        fast: impl FnOnce(&Self) -> Option<F::Output>,
     ) -> Result<F::Output, RemoveError> {
         // Serve from the private magazines first: a hit is a thread-local
         // pop, a refill claims one full magazine from the depot for this
         // and the next `cap - 1` removes. The handle's own cached elements
         // are invisible to every pool-side path, so a scoped remove must
         // scan them here or it could wait forever on elements it holds.
-        if let (Some(depot), Some(mag)) = (&self.shared.depot, &self.magazine) {
-            let outcome = filter.take_cached(&mut mag.borrow_mut(), depot);
-            match outcome {
-                // Clock-free like the cached add: the configured per-op
-                // computation is still charged to simulated cost models,
-                // but no wall-clock reads price the thread-local pop.
-                PopOutcome::Hit(item) => {
-                    if overhead_ns > 0 {
-                        self.shared.timing.charge_work(self.me, overhead_ns);
-                    }
-                    self.stats.record_cached_remove();
-                    return Ok(F::output(item));
-                }
-                PopOutcome::Refilled(item) => {
-                    if overhead_ns > 0 {
-                        self.shared.timing.charge_work(self.me, overhead_ns);
-                    }
-                    self.stats.depot_exchanges += 1;
-                    self.stats.record_cached_remove();
-                    return Ok(F::output(item));
-                }
-                PopOutcome::Miss => {}
-            }
+        // Each exit ticks where it records, as in `add_with`.
+        if let Some((item, refilled)) = self.take_cached(filter, overhead_ns) {
+            self.stats.depot_exchanges += u64::from(refilled);
+            self.stats.record_cached_remove(self.sampler.remove().is_due());
+            return Ok(F::output(item));
         }
+        let tick = self.sampler.remove();
+        let timer = OpTimer::sampled(&self.shared.timing, self.me, overhead_ns, tick);
         if let Some(out) = fast(self) {
+            timer.finish_local_remove(&mut self.stats);
             return Ok(out);
         }
         self.shared.remove_pass(
@@ -983,9 +981,33 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
             &mut self.state,
             &mut self.stats,
             false,
-            overhead_ns,
+            timer,
             wait,
         )
+    }
+
+    /// Serves a remove from the private magazines, if the pool caches and
+    /// they hold an element in `filter`'s scope, reporting whether it
+    /// claimed a depot magazine. Clock-free like the cached add: the
+    /// configured per-op computation is still charged to simulated cost
+    /// models, but no clock read prices the thread-local pop.
+    fn take_cached<F: RemoveFilter<S>>(
+        &self,
+        filter: &F,
+        overhead_ns: u64,
+    ) -> Option<(S::Item, bool)> {
+        let (Some(depot), Some(mag)) = (&self.shared.depot, &self.magazine) else {
+            return None;
+        };
+        let hit = match filter.take_cached(&mut mag.borrow_mut(), depot) {
+            PopOutcome::Hit(item) => (item, false),
+            PopOutcome::Refilled(item) => (item, true),
+            PopOutcome::Miss => return None,
+        };
+        if overhead_ns > 0 {
+            self.shared.timing.charge_work(self.me, overhead_ns);
+        }
+        Some(hit)
     }
 
     fn record_trace(&self, seg: SegIdx, kind: TraceKind) {
@@ -1076,7 +1098,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
         wait: WaitStrategy,
         attempts: usize,
         deadline: Option<Instant>,
-        mut fast: impl FnMut(&mut Self) -> Option<F::Output>,
+        mut fast: impl FnMut(&Self) -> Option<F::Output>,
     ) -> Result<F::Output, RemoveError> {
         assert!(attempts > 0, "a blocking remove needs at least one attempt");
         // The controller and the driver's snapshots borrow from a local Arc
@@ -1166,7 +1188,9 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
         if n == 0 {
             return;
         }
-        let timer = OpTimer::start(&self.shared.timing, self.me, self.shared.add_overhead_ns);
+        let tick = self.sampler.add();
+        let timer =
+            OpTimer::sampled(&self.shared.timing, self.me, self.shared.add_overhead_ns, tick);
         let mut donated = 0usize;
         if let Some(board) = &self.shared.hints {
             // With the hint extension on, searching processes are exactly
@@ -1205,7 +1229,9 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
         if n == 0 {
             return SmallDrain::new(Vec::new());
         }
-        let timer = OpTimer::start(&self.shared.timing, self.me, self.shared.remove_overhead_ns);
+        let tick = self.sampler.remove();
+        let timer =
+            OpTimer::sampled(&self.shared.timing, self.me, self.shared.remove_overhead_ns, tick);
         self.shared.timing.charge(self.me, Resource::Segment(self.seg));
         let mut got = self.shared.segments[self.seg.index()].remove_up_to(n);
         if !got.is_empty() {
@@ -1213,18 +1239,34 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
             self.record_trace(self.seg, TraceKind::Remove);
             return SmallDrain::new(got);
         }
-        // Local segment empty: run one ordinary steal search for the first
-        // element (its two-phase transfer already refills the local segment
-        // with a batch), then top up locally under one more lock. The
-        // search accounts itself through its own timer — with zero
-        // overhead, since this batch already paid `remove_overhead_ns`.
-        timer.finish_remove_batch(&mut self.stats, 0);
-        if let Ok(first) = self.try_remove_filtered(&Any, 0, None, |_| None) {
+        // Local segment empty: the same operation, under the same timer,
+        // takes its first element from the private magazines or else runs
+        // one ordinary steal search (whose two-phase transfer already
+        // refills the local segment with a batch), then tops up locally
+        // under one more lock. The overhead was charged once, above.
+        let first = if let Some((item, refilled)) = self.take_cached(&Any, 0) {
+            self.stats.depot_exchanges += u64::from(refilled);
+            self.stats.record_cached_remove(tick.is_due());
+            Ok(item)
+        } else {
+            self.shared.remove_pass(
+                &Any,
+                self.me,
+                self.seg,
+                &mut self.state,
+                &mut self.stats,
+                false,
+                timer,
+                None,
+            )
+        };
+        if let Ok(first) = first {
             if n > 1 {
-                let top_up = OpTimer::start(&self.shared.timing, self.me, 0);
+                // The top-up elements count as removes of this operation,
+                // whose one latency sample the search (or hit) recorded.
                 self.shared.timing.charge(self.me, Resource::Segment(self.seg));
                 got = self.shared.segments[self.seg.index()].remove_up_to(n - 1);
-                top_up.finish_remove_batch(&mut self.stats, got.len());
+                self.stats.removes += got.len() as u64;
             }
             // After the top-up, so the element rides its vector instead of
             // minting a fresh one.
@@ -1234,7 +1276,9 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
     }
 
     fn drain(&mut self) -> SmallDrain<S::Item> {
-        let timer = OpTimer::start(&self.shared.timing, self.me, self.shared.remove_overhead_ns);
+        let tick = self.sampler.remove();
+        let timer =
+            OpTimer::sampled(&self.shared.timing, self.me, self.shared.remove_overhead_ns, tick);
         let mut all = Vec::new();
         // Sweep this handle's own magazines and every depot magazine along
         // with the segments: drain is the "give me everything" lifecycle

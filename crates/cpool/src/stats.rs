@@ -157,17 +157,28 @@ pub struct ProcStats {
     /// instead of growing its magazines.
     pub flush_on_wait: u64,
     /// Total time spent in add operations.
+    ///
+    /// Exact under a virtual clock, where every operation is timed. Under a
+    /// [wall clock](crate::Timing::is_wall_clock) each handle times one add
+    /// in sixteen and adds its latency scaled by that period, so this is an
+    /// unbiased estimate (as are `remove_ns`, `steal_ns` and `abort_ns`,
+    /// and the means derived from them).
     pub add_ns: u64,
     /// Total time spent in successful remove operations (including their
-    /// searches).
+    /// searches); sampled and scaled like `add_ns`.
     pub remove_ns: u64,
-    /// Total time spent searching within successful steals.
+    /// Total time spent searching within successful steals; sampled and
+    /// scaled like `add_ns`.
     pub steal_ns: u64,
-    /// Total time spent in aborted removes.
+    /// Total time spent in aborted removes; sampled and scaled like
+    /// `add_ns`.
     pub abort_ns: u64,
-    /// Latency histogram of add operations.
+    /// Latency histogram of add operations: one unscaled sample per timed
+    /// add (every add under a virtual clock, one in sixteen per handle
+    /// under a wall clock).
     pub add_hist: Histogram,
-    /// Latency histogram of successful remove operations.
+    /// Latency histogram of successful remove operations, sampled like
+    /// `add_hist`.
     pub remove_hist: Histogram,
 }
 
@@ -215,28 +226,33 @@ impl ProcStats {
         (ops > 0).then(|| self.magazine_hits as f64 / ops as f64)
     }
 
-    /// Records an add absorbed by the handle-local magazine cache.
+    /// Records an add absorbed by the handle-local magazine cache;
+    /// `sampled` is the operation's sampling verdict.
     ///
-    /// Cached operations are deliberately *not* clocked: the op is a
-    /// handful of thread-local instructions, and reading the wall clock to
-    /// price it costs more than the op itself (two `Timing::now` calls
-    /// dominated the fast path before this). They count in `adds` and
-    /// `magazine_hits`, and enter the latency histogram as 0 ns — so
-    /// `avg_add_ns` honestly reflects that cached ops are ~free while the
-    /// histogram's upper buckets still price the shared-path ops.
-    pub(crate) fn record_cached_add(&mut self) {
+    /// Cached operations are never clocked: the op is a handful of
+    /// thread-local instructions, and reading the wall clock to price it
+    /// costs more than the op itself. They count in `adds` and
+    /// `magazine_hits` on every op, and a sampled one enters the latency
+    /// histogram as 0 ns — so cached ops weigh in the histogram at the same
+    /// sampling rate as the shared-path ops whose upper buckets they sit
+    /// beside, and `avg_add_ns` honestly reflects that they are ~free.
+    pub(crate) fn record_cached_add(&mut self, sampled: bool) {
         self.adds += 1;
         self.magazine_hits += 1;
-        self.add_hist.record(0);
+        if sampled {
+            self.add_hist.record(0);
+        }
     }
 
     /// Records a remove served from the handle-local magazine cache;
     /// see [`record_cached_add`](Self::record_cached_add) for why it is
-    /// unclocked.
-    pub(crate) fn record_cached_remove(&mut self) {
+    /// unclocked and when it enters the histogram.
+    pub(crate) fn record_cached_remove(&mut self, sampled: bool) {
         self.removes += 1;
         self.magazine_hits += 1;
-        self.remove_hist.record(0);
+        if sampled {
+            self.remove_hist.record(0);
+        }
     }
 
     /// Fraction of adds that were donated to searchers (hint extension).

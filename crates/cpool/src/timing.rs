@@ -92,6 +92,19 @@ pub trait Timing: Send + Sync {
     /// Wall-clock based implementations return time since some fixed origin;
     /// virtual-time implementations return the process's virtual clock.
     fn now(&self, proc: ProcId) -> u64;
+
+    /// Whether [`now`](Self::now) reads the wall clock.
+    ///
+    /// The pool times every operation against a clock that is not the wall
+    /// clock (the default): a virtual clock is the model's own output, and
+    /// reading it is free. A wall-clock read costs about as much as the
+    /// operation it prices, so on a wall-clock model each handle times one
+    /// operation in sixteen per kind and scales the latency sums by the
+    /// sampling period (see [`ProcStats`](crate::ProcStats)); the
+    /// operation counters stay exact either way.
+    fn is_wall_clock(&self) -> bool {
+        false
+    }
 }
 
 /// A runtime-selected cost model: the dyn-dispatch adapter.
@@ -124,6 +137,10 @@ impl<T: Timing + ?Sized> Timing for std::sync::Arc<T> {
     fn now(&self, proc: ProcId) -> u64 {
         (**self).now(proc)
     }
+
+    fn is_wall_clock(&self) -> bool {
+        (**self).is_wall_clock()
+    }
 }
 
 impl<T: Timing + ?Sized> Timing for Box<T> {
@@ -137,6 +154,10 @@ impl<T: Timing + ?Sized> Timing for Box<T> {
 
     fn now(&self, proc: ProcId) -> u64 {
         (**self).now(proc)
+    }
+
+    fn is_wall_clock(&self) -> bool {
+        (**self).is_wall_clock()
     }
 }
 
@@ -152,12 +173,17 @@ impl<T: Timing + ?Sized> Timing for &T {
     fn now(&self, proc: ProcId) -> u64 {
         (**self).now(proc)
     }
+
+    fn is_wall_clock(&self) -> bool {
+        (**self).is_wall_clock()
+    }
 }
 
 /// A [`Timing`] that charges nothing: raw machine speed.
 ///
-/// `now` still reports real elapsed nanoseconds since the value was created
-/// so operation latencies can be measured.
+/// `now` still reports real elapsed nanoseconds since the value was created,
+/// and it is a wall clock: the pool prices one operation in sixteen per
+/// handle and operation kind against it, and counts every operation.
 ///
 /// ```
 /// use cpool::{NullTiming, Timing, ProcId, Resource, SegIdx};
@@ -190,6 +216,10 @@ impl Timing for NullTiming {
 
     fn now(&self, _proc: ProcId) -> u64 {
         self.origin.elapsed().as_nanos() as u64
+    }
+
+    fn is_wall_clock(&self) -> bool {
+        true
     }
 }
 

@@ -56,6 +56,10 @@ impl Timing for RealTiming {
     fn now(&self, _proc: ProcId) -> u64 {
         self.origin.elapsed().as_nanos() as u64
     }
+
+    fn is_wall_clock(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -217,6 +217,10 @@ impl Timing for SimTiming {
     fn now(&self, proc: ProcId) -> u64 {
         self.scheduler.clock(proc)
     }
+
+    // `is_wall_clock` keeps its default (`false`): the virtual clock is the
+    // model's output, so the pool times every operation and the paper's
+    // figures stay exact.
 }
 
 #[cfg(test)]
