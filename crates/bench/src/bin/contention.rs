@@ -2,10 +2,9 @@
 //! retired mutex-shim design, and the whole pool across threads × segments
 //! × workload mix × segment representation.
 //!
-//! The criterion twin (`benches/contention.rs`) gives statistically careful
-//! numbers; this binary exists so the comparison can be pinned in version
-//! control (`BENCH_contention.json` at the repo root) and smoke-run by CI.
-//! Both measure the same kernels, shared through [`bench::contention`].
+//! The comparison is pinned in version control (`BENCH_contention.json` at
+//! the repo root) and smoke-run by CI. The measured kernels live in
+//! [`bench::contention`].
 //!
 //! ```sh
 //! cargo run --release -p bench --bin contention                      # print JSON

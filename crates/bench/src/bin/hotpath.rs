@@ -1,10 +1,9 @@
 //! Hot-path dispatch baseline: generic `NullTiming` vs the `Arc<dyn Timing>`
 //! adapter, as a plain timed loop that emits machine-readable JSON.
 //!
-//! The criterion twin (`benches/hotpath.rs`) gives statistically careful
-//! numbers; this binary exists so the comparison can be pinned in version
-//! control (`BENCH_hotpath.json` at the repo root) and smoke-run by CI.
-//! Both measure the same loops, shared through [`bench::hotpath`].
+//! The comparison is pinned in version control (`BENCH_hotpath.json` at the
+//! repo root) and smoke-run by CI. The measured loops live in
+//! [`bench::hotpath`].
 //!
 //! ```sh
 //! cargo run --release -p bench --bin hotpath                       # print JSON

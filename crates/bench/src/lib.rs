@@ -1,9 +1,10 @@
 //! # Benchmark harness
 //!
-//! One binary per figure/table of Kotz & Ellis (1989) plus criterion
-//! microbenchmarks. The binaries are thin CLI wrappers over
-//! [`harness::figures`]; shared plumbing (artifact writing, scale parsing)
-//! lives here.
+//! One binary per figure/table of Kotz & Ellis (1989), plus the bench
+//! binaries that emit the committed `BENCH_*.json` baselines. The figure
+//! binaries are thin CLI wrappers over [`harness::figures`]; shared
+//! plumbing (artifact writing, scale parsing) and the bench binaries'
+//! measurement kernels live here.
 //!
 //! | Binary | Regenerates |
 //! |---|---|
@@ -14,6 +15,9 @@
 //! | `delay_sweep` | §4.3 remote-delay sweep |
 //! | `ttt_speedup` | §4.4 application speedups |
 //! | `run_all` | everything above, writing `target/experiments/` |
+//! | `hotpath` | `BENCH_hotpath.json` (hot-path dispatch, transfer, handoff) |
+//! | `contention` | `BENCH_contention.json` (threads × segments × mix) |
+//! | `zipf` | `BENCH_zipf.json` (keyed pool under Zipf and phased keys) |
 //!
 //! Common flags: `--procs N --ops N --trials N --seed N` (defaults are the
 //! paper's 16/5000/10), plus `--quick` for a fast smoke-scale run.
@@ -27,12 +31,9 @@ use harness::cli::Args;
 use harness::csv::{experiments_dir, write_csv};
 use harness::figures::Scale;
 
-/// Shared measurement kernels for the hot-path dispatch comparison.
-///
-/// The criterion bench (`benches/hotpath.rs`) and the JSON-emitting binary
-/// (`src/bin/hotpath.rs`) must measure literally the same code, or the
-/// committed `BENCH_hotpath.json` baseline and the criterion numbers drift
-/// apart — so both build their loops from these functions.
+/// Measurement kernels for the hot-path dispatch comparison, run by the
+/// `hotpath` binary (`src/bin/hotpath.rs`) to produce the committed
+/// `BENCH_hotpath.json` baseline.
 pub mod hotpath {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -431,12 +432,9 @@ pub mod hotpath {
     }
 }
 
-/// Shared measurement kernels for the multi-threaded contention matrix.
-///
-/// The criterion bench (`benches/contention.rs`) and the JSON-emitting
-/// binary (`src/bin/contention.rs`) share these so the committed
-/// `BENCH_contention.json` baseline and the criterion numbers measure the
-/// same code. Two matrices:
+/// Measurement kernels for the multi-threaded contention matrix, run by
+/// the `contention` binary (`src/bin/contention.rs`) to produce the
+/// committed `BENCH_contention.json` baseline. Two matrices:
 ///
 /// * **Primitive matrix** — real threads hammering one shared container
 ///   with push+pop pairs: the retired mutex-shim design

@@ -133,8 +133,8 @@ pub use notify::{Notifier, WaitOutcome};
 pub use ops::{PoolOps, SmallDrain, WaitStrategy};
 pub use pool::{Handle, Pool, PoolBuilder, PoolReport};
 pub use search::{
-    DynPolicy, LinearSearch, NodeStoreKind, PolicyKind, RandomSearch, SearchEnv, SearchOutcome,
-    SearchPolicy, TreeSearch,
+    DynPolicy, LinearSearch, PolicyKind, RandomSearch, SearchEnv, SearchOutcome, SearchPolicy,
+    TreeSearch,
 };
 pub use segment::{AtomicCounter, LaneSegment, LfSegment, LockedCounter, Segment, VecSegment};
 pub use stats::{Histogram, PoolCounters, PoolStats, ProcStats};
@@ -153,9 +153,7 @@ pub mod prelude {
     pub use crate::notify::Notifier;
     pub use crate::ops::{PoolOps, SmallDrain, WaitStrategy};
     pub use crate::pool::{Handle, Pool, PoolBuilder};
-    pub use crate::search::{
-        DynPolicy, LinearSearch, NodeStoreKind, PolicyKind, RandomSearch, TreeSearch,
-    };
+    pub use crate::search::{DynPolicy, LinearSearch, PolicyKind, RandomSearch, TreeSearch};
     pub use crate::segment::{
         AtomicCounter, LaneSegment, LfSegment, LockedCounter, Segment, VecSegment,
     };

@@ -45,8 +45,7 @@ use crate::ids::{ProcId, SegIdx};
 use crate::magazine::{CacheOutcome, Depot, MagazineCache, PopOutcome};
 use crate::ops::{PoolOps, SmallDrain, WaitStrategy};
 use crate::search::{
-    DynPolicy, LinearSearch, NodeStoreKind, PolicyKind, ProbeOutcome, SearchEnv, SearchOutcome,
-    SearchPolicy,
+    DynPolicy, LinearSearch, PolicyKind, ProbeOutcome, SearchEnv, SearchOutcome, SearchPolicy,
 };
 use crate::segment::Segment;
 use crate::stats::{PoolStats, ProcStats};
@@ -62,7 +61,7 @@ use crate::trace::{TraceEvent, TraceKind, TraceRecorder};
 /// * [`build`](Self::build) — the default policy ([`LinearSearch`]);
 /// * [`build_policy`](Self::build_policy) — a runtime-selected
 ///   [`PolicyKind`], constructed internally for this builder's segment
-///   count and [`node_store`](Self::node_store);
+///   count;
 /// * [`build_with_policy`](Self::build_with_policy) — a caller-constructed
 ///   policy instance, for policies the two forms above cannot express.
 ///
@@ -99,11 +98,8 @@ pub struct PoolBuilder<S, T: Timing = NullTiming> {
     segments: usize,
     seed: u64,
     timing: T,
-    node_store: NodeStoreKind,
     record_trace: bool,
-    trace_procs: Option<usize>,
     hints: bool,
-    hint_procs: Option<usize>,
     add_overhead_ns: u64,
     remove_overhead_ns: u64,
     handle_cache: usize,
@@ -133,11 +129,8 @@ impl<S: Segment> PoolBuilder<S> {
             segments,
             seed: 0,
             timing: NullTiming::new(),
-            node_store: NodeStoreKind::default(),
             record_trace: false,
-            trace_procs: None,
             hints: false,
-            hint_procs: None,
             add_overhead_ns: 0,
             remove_overhead_ns: 0,
             handle_cache: 0,
@@ -164,25 +157,13 @@ impl<S: Segment, T: Timing> PoolBuilder<S, T> {
             segments: self.segments,
             seed: self.seed,
             timing,
-            node_store: self.node_store,
             record_trace: self.record_trace,
-            trace_procs: self.trace_procs,
             hints: self.hints,
-            hint_procs: self.hint_procs,
             add_overhead_ns: self.add_overhead_ns,
             remove_overhead_ns: self.remove_overhead_ns,
             handle_cache: self.handle_cache,
             _marker: std::marker::PhantomData,
         }
-    }
-
-    /// Selects the superimposed tree's round-counter synchronization for
-    /// policies built through [`build_policy`](Self::build_policy)
-    /// (defaults to the paper's [`NodeStoreKind::Locked`]; ignored by the
-    /// linear and random policies).
-    pub fn node_store(mut self, store: NodeStoreKind) -> Self {
-        self.node_store = store;
-        self
     }
 
     /// Enables segment-size trace recording (Figures 3–6 instrumentation).
@@ -191,25 +172,11 @@ impl<S: Segment, T: Timing> PoolBuilder<S, T> {
         self
     }
 
-    /// Number of processes the trace recorder should accommodate (defaults
-    /// to the segment count).
-    pub fn trace_procs(mut self, procs: usize) -> Self {
-        self.trace_procs = Some(procs);
-        self
-    }
-
     /// Enables the search-hint extension (§5 of the paper, answered in
     /// [`hints`](crate::hints)): adds are redirected to processes whose
     /// removes are searching.
     pub fn hints(mut self, enabled: bool) -> Self {
         self.hints = enabled;
-        self
-    }
-
-    /// Number of mailboxes on the hint board (defaults to the segment
-    /// count; processes with higher ids fall back to plain searching).
-    pub fn hint_procs(mut self, procs: usize) -> Self {
-        self.hint_procs = Some(procs);
         self
     }
 
@@ -266,8 +233,7 @@ impl<S: Segment, T: Timing> PoolBuilder<S, T> {
     /// Builds the pool with a runtime-selected search algorithm.
     ///
     /// The policy is constructed internally for this builder's segment
-    /// count (and [`node_store`](Self::node_store), for the tree), so the
-    /// count is stated exactly once per pool — the
+    /// count, so the count is stated exactly once per pool — the
     /// `PoolBuilder::new(n).build_with_policy(LinearSearch::new(n))`
     /// double-`n` pattern is what this method replaces.
     ///
@@ -281,7 +247,7 @@ impl<S: Segment, T: Timing> PoolBuilder<S, T> {
     /// ```
     #[must_use]
     pub fn build_policy(self, kind: PolicyKind) -> Pool<S, DynPolicy, T> {
-        let policy = kind.build(self.segments, self.node_store);
+        let policy = kind.build(self.segments);
         self.build_with_policy(policy)
     }
 
@@ -293,8 +259,7 @@ impl<S: Segment, T: Timing> PoolBuilder<S, T> {
     /// it (`PoolBuilder::new(n)` *and* `LinearSearch::new(n)`) and panics
     /// later if the two disagree. It remains the escape hatch for policy
     /// instances the other builders cannot express — a concrete policy
-    /// type parameter, a pre-built [`DynPolicy`], or a
-    /// [`TreeSearch`](crate::search::TreeSearch) with a custom store.
+    /// type parameter or a pre-built [`DynPolicy`].
     ///
     /// # Panics
     ///
@@ -315,10 +280,8 @@ impl<S: Segment, T: Timing> PoolBuilder<S, T> {
     pub(crate) fn build_from<P: SearchPolicy>(self, segments: Vec<S>, policy: P) -> Pool<S, P, T> {
         assert_eq!(segments.len(), self.segments, "one segment per pool slot");
         let segments: Box<[S]> = segments.into();
-        let trace = self
-            .record_trace
-            .then(|| TraceRecorder::new(self.trace_procs.unwrap_or(self.segments)));
-        let hints = self.hints.then(|| HintBoard::new(self.hint_procs.unwrap_or(self.segments)));
+        let trace = self.record_trace.then(|| TraceRecorder::new(self.segments));
+        let hints = self.hints.then(|| HintBoard::new(self.segments));
         // Depot rings sized so every segment's worth of handles can have a
         // magazine in flight plus slack: overflowing the ring is handled
         // (the exchange falls back to the shared path), it just costs the
@@ -1526,7 +1489,7 @@ mod tests {
     #[test]
     fn all_policies_survive_producer_consumer() {
         for kind in PolicyKind::ALL {
-            let policy = kind.build(4, NodeStoreKind::Locked);
+            let policy = kind.build(4);
             let pool: Pool<LockedCounter, _> = PoolBuilder::new(4).build_with_policy(policy);
             thread::scope(|s| {
                 // One producer, three consumers; 300 elements flow through.

@@ -27,7 +27,7 @@ use std::str::FromStr;
 
 pub use linear::{LinearSearch, LinearState};
 pub use random::{RandomSearch, RandomState};
-pub use tree::{NodeStoreKind, TreeSearch, TreeState};
+pub use tree::{TreeSearch, TreeState};
 
 use crate::ids::SegIdx;
 
@@ -126,14 +126,11 @@ impl PolicyKind {
 
     /// Builds a boxed, type-erased policy of this kind for a pool of
     /// `segments` segments.
-    ///
-    /// `store` selects the tree's round-counter synchronization and is
-    /// ignored by the linear and random policies.
-    pub fn build(self, segments: usize, store: NodeStoreKind) -> DynPolicy {
+    pub fn build(self, segments: usize) -> DynPolicy {
         match self {
             PolicyKind::Linear => DynPolicy::new(LinearSearch::new(segments)),
             PolicyKind::Random => DynPolicy::new(RandomSearch::new(segments)),
-            PolicyKind::Tree => DynPolicy::new(TreeSearch::with_store(segments, store)),
+            PolicyKind::Tree => DynPolicy::new(TreeSearch::new(segments)),
         }
     }
 }
@@ -317,7 +314,7 @@ mod tests {
     #[test]
     fn dyn_policy_reports_inner_name() {
         for kind in PolicyKind::ALL {
-            let dp = kind.build(8, NodeStoreKind::Locked);
+            let dp = kind.build(8);
             assert_eq!(SearchPolicy::name(&dp), kind.to_string());
         }
     }

@@ -59,14 +59,16 @@ impl TraceRecorder {
         self.buffers.len()
     }
 
-    /// Records one event on `event.proc`'s private buffer.
+    /// Records one event on `event.proc`'s buffer.
     ///
-    /// Events from processes beyond the recorder's capacity are dropped
-    /// (this only happens if more handles register than the pool was built
-    /// to trace, which is a configuration mismatch, not data corruption).
+    /// Process ids are never reused, so a handle registered after another
+    /// dropped gets an id past the buffer count; ids fold onto the buffers
+    /// modulo their number. Events carry their process, so the merged
+    /// [`snapshot_sorted`](Self::snapshot_sorted) order is unaffected. A
+    /// recorder with no buffers records nothing.
     pub fn record(&self, event: TraceEvent) {
-        if let Some(buffer) = self.buffers.get(event.proc.index()) {
-            buffer.lock().push(event);
+        if !self.buffers.is_empty() {
+            self.buffers[event.proc.index() % self.buffers.len()].lock().push(event);
         }
     }
 
@@ -129,8 +131,28 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_proc_is_dropped() {
-        let rec = TraceRecorder::new(1);
+    fn late_registrant_events_are_recorded() {
+        use crate::pool::{Pool, PoolBuilder};
+        use crate::search::LinearSearch;
+        use crate::segment::LockedCounter;
+
+        // Process ids are never reused: after the first handle drops, the
+        // second registers as process 1 on a one-segment pool.
+        let pool: Pool<LockedCounter, LinearSearch> =
+            PoolBuilder::new(1).record_trace(true).build();
+        drop(pool.register());
+        let mut late = pool.register();
+        assert_eq!(late.proc_id(), ProcId::new(1));
+        late.add(());
+        let events = pool.trace().unwrap().snapshot_sorted();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].proc, late.proc_id());
+        assert_eq!(events[0].kind, TraceKind::Add);
+    }
+
+    #[test]
+    fn empty_recorder_records_nothing() {
+        let rec = TraceRecorder::new(0);
         rec.record(ev(1, 5, 0, 1, TraceKind::Add));
         assert!(rec.is_empty());
     }

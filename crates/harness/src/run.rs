@@ -64,7 +64,6 @@ fn run_trial_on<S: Segment<Item = ()>>(spec: &ExperimentSpec, trial: u32) -> Tri
     let pool: Pool<S, DynPolicy, DynTiming> = PoolBuilder::new(spec.procs)
         .seed(seed)
         .timing(Arc::clone(&timing))
-        .node_store(spec.node_store)
         .record_trace(spec.record_trace)
         .hints(spec.hints)
         .op_overhead(spec.add_overhead_ns, spec.remove_overhead_ns)

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use cpool::{NodeStoreKind, PolicyKind};
+use cpool::PolicyKind;
 use numa_sim::LatencyModel;
 use workload::Workload;
 
@@ -79,8 +79,6 @@ pub struct ExperimentSpec {
     pub procs: usize,
     /// Search algorithm under test.
     pub policy: PolicyKind,
-    /// Round-counter synchronization for the tree policy.
-    pub node_store: NodeStoreKind,
     /// Counting-segment implementation.
     pub segment: SegmentKind,
     /// Elements pre-loaded into the pool, spread evenly.
@@ -116,7 +114,6 @@ impl ExperimentSpec {
         ExperimentSpec {
             procs: 16,
             policy,
-            node_store: NodeStoreKind::Locked,
             segment: SegmentKind::LockedCounter,
             initial_elements: 320,
             total_ops: 5000,

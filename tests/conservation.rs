@@ -7,7 +7,7 @@ use std::sync::Mutex;
 use std::thread;
 
 use concurrent_pools::prelude::*;
-use cpool::{NodeStoreKind, PolicyKind};
+use cpool::PolicyKind;
 
 /// Every value pushed through a heavily-stolen pool comes out exactly once.
 #[test]
@@ -16,7 +16,7 @@ fn unique_values_survive_stealing_for_every_policy() {
         let n = 8;
         let per = 2_000u64;
         let pool: Pool<VecSegment<u64>, DynPolicy> =
-            PoolBuilder::new(n).seed(11).node_store(NodeStoreKind::Locked).build_policy(kind);
+            PoolBuilder::new(n).seed(11).build_policy(kind);
         let seen = Mutex::new(HashSet::new());
 
         thread::scope(|s| {
@@ -60,40 +60,33 @@ fn unique_values_survive_stealing_for_every_policy() {
 
 /// Counting segments: global adds − removes always equals the residue.
 #[test]
-fn counting_pool_balances_for_every_policy_and_store() {
+fn counting_pool_balances_for_every_policy() {
     for kind in PolicyKind::ALL {
-        for store in [NodeStoreKind::Locked, NodeStoreKind::Atomic] {
-            let n = 4;
-            let pool: Pool<AtomicCounter, DynPolicy> =
-                PoolBuilder::new(n).seed(3).node_store(store).build_policy(kind);
-            pool.fill_evenly(100);
+        let n = 4;
+        let pool: Pool<AtomicCounter, DynPolicy> = PoolBuilder::new(n).seed(3).build_policy(kind);
+        pool.fill_evenly(100);
 
-            let removed = AtomicU64::new(0);
-            let added = AtomicU64::new(0);
-            thread::scope(|s| {
-                for w in 0..n {
-                    let mut h = pool.register();
-                    let (removed, added) = (&removed, &added);
-                    s.spawn(move || {
-                        for i in 0..1_000 {
-                            if (i + w) % 2 == 0 {
-                                h.add(());
-                                added.fetch_add(1, Ordering::Relaxed);
-                            } else if h.try_remove().is_ok() {
-                                removed.fetch_add(1, Ordering::Relaxed);
-                            }
+        let removed = AtomicU64::new(0);
+        let added = AtomicU64::new(0);
+        thread::scope(|s| {
+            for w in 0..n {
+                let mut h = pool.register();
+                let (removed, added) = (&removed, &added);
+                s.spawn(move || {
+                    for i in 0..1_000 {
+                        if (i + w) % 2 == 0 {
+                            h.add(());
+                            added.fetch_add(1, Ordering::Relaxed);
+                        } else if h.try_remove().is_ok() {
+                            removed.fetch_add(1, Ordering::Relaxed);
                         }
-                    });
-                }
-            });
+                    }
+                });
+            }
+        });
 
-            let expect = 100 + added.load(Ordering::Relaxed) - removed.load(Ordering::Relaxed);
-            assert_eq!(
-                pool.total_len() as u64,
-                expect,
-                "{kind}/{store:?}: adds - removes == residue"
-            );
-        }
+        let expect = 100 + added.load(Ordering::Relaxed) - removed.load(Ordering::Relaxed);
+        assert_eq!(pool.total_len() as u64, expect, "{kind}: adds - removes == residue");
     }
 }
 

@@ -62,18 +62,20 @@ fn donation_satisfies_a_searcher() {
     assert_eq!(pool.total_len(), 0);
 }
 
-/// Hints never break conservation, for any policy, under heavy churn.
+/// Hints never break conservation, for any policy, under heavy churn —
+/// also with more handles than segments, where the handles past the
+/// segment count have no mailbox on the board.
 #[test]
 fn hinted_pool_conserves_unique_values() {
-    for kind in PolicyKind::ALL {
-        let n = 4;
+    let n = 4;
+    for (kind, n_handles) in PolicyKind::ALL.into_iter().flat_map(|k| [(k, n), (k, 2 * n)]) {
         let per = 2_000u64;
         let pool: Pool<VecSegment<u64>, DynPolicy> =
             PoolBuilder::new(n).seed(7).hints(true).build_policy(kind);
 
         let sum = AtomicU64::new(0);
         thread::scope(|s| {
-            for w in 0..n as u64 {
+            for w in 0..n_handles as u64 {
                 let mut h = pool.register();
                 let sum = &sum;
                 s.spawn(move || {
@@ -96,12 +98,12 @@ fn hinted_pool_conserves_unique_values() {
             }
         });
 
-        let total = n as u64 * per;
-        assert_eq!(pool.total_len(), 0, "{kind}");
+        let total = n_handles as u64 * per;
+        assert_eq!(pool.total_len(), 0, "{kind} x{n_handles}");
         assert_eq!(
             sum.load(Ordering::Relaxed),
             (0..total).sum::<u64>(),
-            "{kind}: every value consumed exactly once"
+            "{kind} x{n_handles}: every value consumed exactly once"
         );
     }
 }

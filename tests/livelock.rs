@@ -6,15 +6,14 @@ use std::thread;
 use std::time::Duration;
 
 use concurrent_pools::prelude::*;
-use cpool::{NodeStoreKind, PolicyKind};
+use cpool::PolicyKind;
 
 /// All-consumer swarm on an empty pool: every policy must abort (no hang).
 #[test]
 fn empty_pool_consumers_all_abort() {
     for kind in PolicyKind::ALL {
         let n = 8;
-        let pool: Pool<LockedCounter, DynPolicy> =
-            PoolBuilder::new(n).node_store(NodeStoreKind::Locked).build_policy(kind);
+        let pool: Pool<LockedCounter, DynPolicy> = PoolBuilder::new(n).build_policy(kind);
         let aborted = AtomicU64::new(0);
         thread::scope(|s| {
             for _ in 0..n {
