@@ -1,11 +1,10 @@
-//! Keyed-pool skew matrix: uniform vs Zipfian key traffic, hot-key
-//! adaptive sharding on vs off.
+//! Keyed-pool skew matrix: uniform vs Zipfian key traffic over plain
+//! per-key buckets.
 //!
 //! The question this binary answers and pins in version control
-//! (`BENCH_zipf.json`): does splitting the hot bucket into independently
-//! locked sub-shards pay for itself under a Zipf(1.1) key stream, and
-//! what does the sampling machinery cost when traffic is uniform (no key
-//! ever promotes, so the detector is pure overhead)?
+//! (`BENCH_zipf.json`): what does a keyed add+remove cost when a Zipf(1.1)
+//! key stream funnels most traffic through a few buckets, against the
+//! same pool under uniform keys, and how does adding segments relieve it?
 //!
 //! ```sh
 //! cargo run --release -p bench --bin zipf                      # print JSON
@@ -13,20 +12,20 @@
 //! cargo run --release -p bench --bin zipf -- --quick           # CI smoke
 //! ```
 //!
-//! Rows are `zipf/<dist>/<hotkey>/t<threads>s<segments>`, ns per
-//! operation, best-of-`--repeat` wall-clock floors, slowest thread. Each
-//! operation is half an add(key)+remove(key) pair over a prefilled
-//! 512-key space (see [`bench::keyed`]); the pair shape guarantees every
-//! remove is satisfiable, so the number prices the operation, not a
-//! wait. Every round runs an untimed warmup first so the timed section
-//! prices the detector's steady state, not its promotion transient.
+//! Rows are `zipf/<dist>/t<threads>s<segments>`, ns per operation,
+//! best-of-`--repeat` wall-clock floors, slowest thread. Each operation is
+//! half an add(key)+remove(key) pair over a prefilled 512-key space (see
+//! [`bench::keyed`]); the pair shape guarantees every remove is
+//! satisfiable, so the number prices the operation, not a wait. Every
+//! round runs an untimed warmup first, so bucket capacities have grown
+//! before the timed section starts.
 //!
-//! All four dist × hotkey variants are *interleaved* within each
-//! (threads, segments) cell — round-robin across the repeat floors — so
-//! the acceptance comparison (`zipf11/on` vs `zipf11/off`) samples the
-//! same slice of host time. The JSON header records `host_cpus` and
-//! `measured_parallel` (see [`bench::host`]): on a single-CPU host the
-//! multi-threaded cells measure time-sliced interleaving.
+//! Both distributions are *interleaved* within each (threads, segments)
+//! cell — round-robin across the repeat floors — so the uniform and Zipf
+//! rows of a cell sample the same slice of host time. The JSON header
+//! records `host_cpus` and `measured_parallel` (see [`bench::host`]): on a
+//! single-CPU host the multi-threaded cells measure time-sliced
+//! interleaving.
 
 use bench::host;
 use bench::keyed::{keyed_round, KEY_SPACE};
@@ -40,14 +39,10 @@ const ZIPF_S: f64 = 1.1;
 fn main() {
     let args = Args::from_env();
     let quick = args.flag("quick");
-    // Untimed warmup pairs per round (total across threads): long enough
-    // that the detector's sampled window has promoted the whole Zipf head
-    // (the mid-rank keys need tens of thousands of ops at the default
-    // 1/128 sampling), so the timed section prices the steady state. The
-    // timed section is kept short and the repeat count high: interleaved
-    // short rounds give every variant many shots at the host's quiet
-    // windows, which is what makes the floors comparable on a shared
-    // machine.
+    // Untimed warmup pairs per round (total across threads). The timed
+    // section is kept short and the repeat count high: interleaved short
+    // rounds give every variant many shots at the host's quiet windows,
+    // which is what makes the floors comparable on a shared machine.
     let warmup: u64 = args.parse_or("warmup", if quick { 4_000 } else { 40_000 });
     let pairs: u64 = args.parse_or("ops", if quick { 4_000 } else { 40_000 });
     let repeat: usize = args.parse_or("repeat", if quick { 1 } else { 21 });
@@ -56,9 +51,7 @@ fn main() {
 
     let uniform = KeyDist::Uniform { keys: KEY_SPACE };
     let zipf = KeyDist::Zipf { keys: KEY_SPACE, s: ZIPF_S };
-    const VARIANTS: [(&str, &str); 4] =
-        [("uniform", "off"), ("uniform", "on"), ("zipf11", "off"), ("zipf11", "on")];
-    let variant_dist = |dist: &str| if dist == "uniform" { uniform } else { zipf };
+    let variants = [("uniform", uniform), ("zipf11", zipf)];
 
     let mut results: Vec<(String, f64)> = Vec::new();
     let cell = |results: &mut Vec<(String, f64)>, name: String, ns: f64| {
@@ -66,62 +59,31 @@ fn main() {
         results.push((name, ns));
     };
 
-    // Threads × segments matrix (t1s1 is the sampling-overhead row: with
-    // one thread there is no lock contention for sub-sharding to relieve,
-    // so `on` minus `off` is the pure cost of the detector tick + routing
-    // indirection). All four dist × hotkey variants are interleaved
-    // within each cell so background-load drift cannot masquerade as a
-    // hot-key effect.
+    // Threads × segments matrix (t1s1 is the uncontended row). Both
+    // distributions are interleaved within each cell so background-load
+    // drift cannot masquerade as a skew effect.
     let mut shapes: Vec<(usize, usize)> = vec![(1, 1)];
     for &t in &threads {
         shapes.push((t, 1));
         shapes.push((t, t));
     }
     for (t, segments) in shapes {
-        // Warmup splits across threads (the detector is pool-wide, so the
-        // *total* warmup ops are what promote the Zipf head), but the
-        // timed pairs stay per-thread: every thread's timed section must
-        // span several scheduler quanta, or a time-sliced host can fit a
-        // whole section into one undisturbed slice and report solo speed
-        // for a supposedly contended cell.
+        // Warmup splits across threads, but the timed pairs stay
+        // per-thread: every thread's timed section must span several
+        // scheduler quanta, or a time-sliced host can fit a whole section
+        // into one undisturbed slice and report solo speed for a
+        // supposedly contended cell.
         let t_warmup = (warmup / t as u64).max(1);
         let t_pairs = pairs;
-        let mut floors = [f64::INFINITY; VARIANTS.len()];
+        let mut floors = [f64::INFINITY; 2];
         for _ in 0..repeat.max(1) {
-            for (floor, (dist_name, hotkey_name)) in floors.iter_mut().zip(VARIANTS) {
-                let dist = variant_dist(dist_name);
-                *floor = floor.min(keyed_round(
-                    t,
-                    segments,
-                    t_warmup,
-                    t_pairs,
-                    dist,
-                    hotkey_name == "on",
-                ));
+            for (floor, (_, dist)) in floors.iter_mut().zip(variants) {
+                *floor = floor.min(keyed_round(t, segments, t_warmup, t_pairs, dist));
             }
         }
-        for (ns, (dist_name, hotkey_name)) in floors.into_iter().zip(VARIANTS) {
-            cell(&mut results, format!("zipf/{dist_name}/{hotkey_name}/t{t}s{segments}"), ns);
+        for (ns, (dist_name, _)) in floors.into_iter().zip(variants) {
+            cell(&mut results, format!("zipf/{dist_name}/t{t}s{segments}"), ns);
         }
-    }
-
-    // Headline rows: per-dist geomean of off/on across the shape matrix.
-    // A single shape's floor can still catch a load spike on a shared
-    // host; the geomean over all shapes is the run's verdict on whether
-    // hot-key sharding pays for the distribution.
-    for (dist_name, _) in [VARIANTS[0], VARIANTS[2]] {
-        let ratios: Vec<f64> = results
-            .iter()
-            .filter(|(name, _)| name.contains(&format!("/{dist_name}/off/")))
-            .filter_map(|(name, off)| {
-                let on_name = name.replace("/off/", "/on/");
-                results.iter().find(|(n, _)| *n == on_name).map(|(_, on)| off / on)
-            })
-            .collect();
-        let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
-        let name = format!("zipf/{dist_name}/speedup_off_over_on_geomean");
-        eprintln!("{name:>42}: {geomean:10.4} x");
-        results.push((name, geomean));
     }
 
     let mut json = String::from("{\n");

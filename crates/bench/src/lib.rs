@@ -17,7 +17,7 @@
 //! | `run_all` | everything above, writing `target/experiments/` |
 //! | `hotpath` | `BENCH_hotpath.json` (hot-path dispatch, transfer, handoff) |
 //! | `contention` | `BENCH_contention.json` (threads × segments × mix) |
-//! | `zipf` | `BENCH_zipf.json` (keyed pool under Zipf and phased keys) |
+//! | `zipf` | `BENCH_zipf.json` (keyed pool under uniform and Zipf keys) |
 //!
 //! Common flags: `--procs N --ops N --trials N --seed N` (defaults are the
 //! paper's 16/5000/10), plus `--quick` for a fast smoke-scale run.
@@ -781,12 +781,9 @@ pub mod keyed {
     use cpool::{KeyedPool, KeyedPoolBuilder};
     use workload::{KeyDist, KeyStream};
 
-    use crate::contention::best_of;
-
     /// Distinct keys each cell's streams draw from. Large enough that a
-    /// Zipf(1.1) head is a *small* fraction of the buckets (splitting one
-    /// bucket must matter because of traffic, not key-space coverage),
-    /// small enough that uniform traffic keeps every bucket warm.
+    /// Zipf(1.1) head is a *small* fraction of the buckets, small enough
+    /// that uniform traffic keeps every bucket warm.
     pub const KEY_SPACE: u64 = 512;
 
     /// Prefill per key per segment: the buffer that keeps the paired
@@ -801,26 +798,14 @@ pub mod keyed {
     /// `dist`. Returns wall-clock nanoseconds per timed *operation* (two
     /// per pair), slowest thread, like
     /// [`contention::pool_round`](crate::contention::pool_round).
-    ///
-    /// `hotkey` toggles the adaptive hot-key machinery at its default
-    /// knobs against a plain-bucket baseline — everything else (streams,
-    /// seeds, prefill) is identical, so the delta is the subsystem. The
-    /// warmup exists for the `hotkey` variant's sake: detection is
-    /// sampled, so promotion of the mid-rank hot keys takes tens of
-    /// thousands of operations, and timing that transient would mix two
-    /// regimes into one number. The row prices the *steady state* — the
-    /// regime a long-running pool lives in.
     pub fn keyed_round(
         threads: usize,
         segments: usize,
         warmup: u64,
         pairs: u64,
         dist: KeyDist,
-        hotkey: bool,
     ) -> f64 {
-        let builder = KeyedPoolBuilder::new(segments);
-        let builder = if hotkey { builder } else { builder.hot_keys_disabled() };
-        let pool: KeyedPool<u64, u64> = builder.build();
+        let pool: KeyedPool<u64, u64> = KeyedPoolBuilder::new(segments).build();
         // Per-segment prefill of the whole key space: every remove finds
         // its key without cross-key searching, whatever the skew.
         for _ in 0..segments {
@@ -864,19 +849,6 @@ pub mod keyed {
         });
         slowest_ns.load(Ordering::Relaxed) as f64 / (pairs * 2) as f64
     }
-
-    /// [`keyed_round`] floored over `repeat` runs.
-    pub fn keyed_cell(
-        repeat: usize,
-        threads: usize,
-        segments: usize,
-        warmup: u64,
-        pairs: u64,
-        dist: KeyDist,
-        hotkey: bool,
-    ) -> f64 {
-        best_of(repeat, || keyed_round(threads, segments, warmup, pairs, dist, hotkey))
-    }
 }
 
 /// Host-parallelism probe shared by the JSON-emitting bench binaries.
@@ -913,31 +885,35 @@ pub mod host {
     }
 
     /// Measures whether two threads actually run in parallel: times the
-    /// spin workload solo, then two copies concurrently. On a parallel
-    /// host the duo's wall clock stays near the solo time; on a
-    /// time-sliced host it doubles. Best-of-3 on both sides filters
-    /// scheduler noise; the 1.6× threshold sits between the ideal ratios
-    /// of 1.0 (parallel) and 2.0 (serial).
+    /// spin workload solo, then two copies concurrently. Each duo thread
+    /// times its own spin from the start barrier, and the duo time is the
+    /// slower of the two, so thread spawn and join stay out of it as they
+    /// stay out of the solo time. On a parallel host the duo time stays
+    /// near the solo time; on a time-sliced host it doubles. Best-of-3 on
+    /// both sides filters scheduler noise; the 1.6× threshold sits between
+    /// the ideal ratios of 1.0 (parallel) and 2.0 (serial).
     pub fn measured_parallel() -> bool {
-        let best = |f: &dyn Fn() -> f64| (0..3).map(|_| f()).fold(f64::INFINITY, f64::min);
-        let solo = best(&|| {
+        let timed_spin = || {
             let t0 = Instant::now();
             spin();
             t0.elapsed().as_secs_f64()
-        });
+        };
+        let best = |f: &dyn Fn() -> f64| (0..3).map(|_| f()).fold(f64::INFINITY, f64::min);
+        let solo = best(&timed_spin);
         let duo = best(&|| {
             let start = Barrier::new(2);
-            let t0 = Instant::now();
             std::thread::scope(|s| {
-                for _ in 0..2 {
-                    let start = &start;
-                    s.spawn(move || {
-                        start.wait();
-                        spin();
-                    });
-                }
-            });
-            t0.elapsed().as_secs_f64()
+                let threads: Vec<_> = (0..2)
+                    .map(|_| {
+                        let start = &start;
+                        s.spawn(move || {
+                            start.wait();
+                            timed_spin()
+                        })
+                    })
+                    .collect();
+                threads.into_iter().map(|t| t.join().expect("probe thread")).fold(0.0, f64::max)
+            })
         });
         duo < solo * 1.6
     }

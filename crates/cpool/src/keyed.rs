@@ -17,7 +17,8 @@
 //!
 //! Each segment partitions its contents by key (a `BTreeMap` of buckets —
 //! ordered, so iteration is deterministic and virtual-time runs reproduce).
-//! The concurrent-pool locality story carries over per key:
+//! A bucket is a plain vector under the segment lock. The concurrent-pool
+//! locality story carries over per key:
 //!
 //! * `add(k, v)` goes to the local segment's `k` bucket;
 //! * `try_remove_key(k)` serves from the local `k` bucket, and only when
@@ -54,40 +55,11 @@
 //! pool: a keyed search aborts when every registered process is searching —
 //! whether they starve on the same key or different ones, nobody can be
 //! adding, so waiting is futile.
-//!
-//! # Hot keys
-//!
-//! Uniform key traffic spreads naturally over segments, but a Zipfian
-//! stream funnels most operations through one or two buckets, and every
-//! producer and consumer of a hot key then serializes on the owning
-//! segment's lock. The keyed frontend reacts adaptively:
-//!
-//! * a pool-wide sampled frequency detector ([`hotkey`](crate::hotkey))
-//!   watches one in `sample_every` operations per handle;
-//! * when a key's share of the sample window crosses the promote
-//!   threshold, its bucket is **split** into `K` independently locked
-//!   sub-shards (`HotBucket`, crate-internal): adds rotate across sub-shards, removes
-//!   drain any, and handles cache the split bucket so hot-key traffic
-//!   bypasses the segment lock entirely (after the magazine check, before
-//!   the segment);
-//! * steal-half applies **sub-shard-wise** (⌈n/2⌉ of each sub-shard, one
-//!   shard lock at a time, never the segment lock), filling the same
-//!   recycled transfer shells as plain steals — the alloc-free steady
-//!   state is preserved;
-//! * the largest-bucket victim policy for anonymous steals becomes
-//!   **heat-weighted**: victims rank by `len × (1 + boost · heat)`, so
-//!   thieves relieve the actual contention point, not just the deepest
-//!   bucket;
-//! * when the detector's window shows the key has cooled below the demote
-//!   threshold (hysteresis — see [`HotKeyConfig`]), the sub-shards are
-//!   **merged back** into a plain bucket. Close/timeout semantics are
-//!   unaffected: segment occupancy counts include sub-shard contents, so
-//!   drained snapshots and wake filters see through a split.
 
 use std::borrow::Borrow;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -96,8 +68,6 @@ use parking_lot::{Mutex, MutexGuard};
 use crate::core::{KeyFilter, RemoveFilter};
 use crate::error::RemoveError;
 use crate::future::{KeyedRemoveFuture, RemoveKeyFuture};
-use crate::hotkey::{HotKeyConfig, HotKeyDetector};
-use crate::ids::ProcId;
 #[cfg(test)]
 use crate::ids::SegIdx;
 use crate::magazine::{Depot, MagazineCache, PopOutcome};
@@ -106,7 +76,7 @@ use crate::pool::{Handle, Pool, PoolBuilder};
 use crate::search::LinearSearch;
 use crate::segment::{steal_count, Segment};
 use crate::stats::PoolStats;
-use crate::timing::{NullTiming, Resource, Timing};
+use crate::timing::{NullTiming, Timing};
 use crate::transfer::{FreeList, SHELL_SPILL_MAX, SHELL_SPILL_MIN};
 
 /// Keys must be orderable (deterministic bucket iteration), cloneable
@@ -123,200 +93,34 @@ impl<K: Ord + Clone + Send + 'static> Key for K {}
 /// (non-empty) buckets never count against the bound.
 const RESIDENT_BUCKETS_MAX: usize = 64;
 
-/// Weight of observed heat in the anonymous-steal victim ranking: buckets
-/// score `len × (1 + HEAT_STEAL_BOOST × heat)` with heat in `[0, 1]`, so a
-/// bucket drawing the whole sample window outranks a cold bucket up to
-/// five times its size — thieves relieve the contention point, not merely
-/// the deepest bucket. With no detector (or no samples) every heat is 0
-/// and the ranking degenerates to the original largest-bucket rule.
-const HEAT_STEAL_BOOST: f64 = 4.0;
-
-/// Entries a handle's hot-bucket cache may hold before it is reset; the
-/// cache repopulates from sampled operations, so a reset only costs a few
-/// slow-path (segment-locked) operations per hot key.
-const HOT_CACHE_MAX: usize = 16;
-
-/// One in this many *sampled* operations also runs the hysteresis
-/// (demote) sweep. The sweep locks the segment and probes the detector
-/// once per split bucket; heat decay only needs to be eventual, so it
-/// runs at `sample_every × SWEEP_EVERY_SAMPLES` op granularity per
-/// handle rather than on every sample.
-const SWEEP_EVERY_SAMPLES: u32 = 8;
-
-/// One bucket: a plain vector, or — once promoted by the hot-key detector
-/// — `K` independently locked sub-shards.
-enum Bucket<V> {
-    Plain(Vec<V>),
-    Hot(Arc<HotBucket<V>>),
-}
-
-impl<V> Bucket<V> {
-    fn len(&self) -> usize {
-        match self {
-            Bucket::Plain(bucket) => bucket.len(),
-            Bucket::Hot(hot) => hot.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A promoted (split) bucket: `K` sub-shards, each behind its own lock, so
-/// hot-key producers and consumers stop serializing on one vector — and,
-/// via the handles' caches, on the segment lock itself. The cached total
-/// makes emptiness probes lock-free. Handles address sub-shards by their
-/// process slot (affinity: distinct processes, distinct shards, and a
-/// process's pops probe its own pushes' shard first); segment-internal
-/// routed operations rotate via the cursors so the shards stay balanced
-/// without coordination.
-///
-/// Demotion (and teardown) *seals* each sub-shard under its lock; a sealed
-/// shard refuses pushes and reports pops as sealed, which tells stale
-/// cached handles to drop the reference and retake the segment-locked
-/// path. Elements only ever move under a shard lock, so a split or merge
-/// racing live traffic can neither lose nor duplicate them.
-struct HotBucket<V> {
-    shards: Box<[Shard<V>]>,
-    add_cursor: AtomicUsize,
-    remove_cursor: AtomicUsize,
-}
-
-/// One sub-shard: the element vector behind its own lock, flanked by two
-/// lock-free mirrors so the fast paths and occupancy probes never touch a
-/// lock they don't need. Padded to a cache line: sub-shards sit adjacent
-/// in one slab, and the whole point of the split is that processes on
-/// different shards stop invalidating each other's lines.
-#[repr(align(64))]
-struct Shard<V> {
-    items: Mutex<Vec<V>>,
-    /// `items.len()` mirror, written with a plain store while the shard
-    /// lock is held (one writer at a time, so no read-modify-write): pops
-    /// skip empty shards and occupancy sums read it without locking.
-    len: AtomicUsize,
-    /// Sticky seal flag, set under the shard lock by demotion/teardown
-    /// (a `HotBucket` is never unsealed — promotion builds a fresh one),
-    /// so the lock-free read can trust `true` outright; `false` is
-    /// re-checked under the lock before mutating.
-    sealed: AtomicBool,
-}
-
-impl<V> HotBucket<V> {
-    /// Builds a `k`-shard bucket, dealing `items` round-robin so the
-    /// shards start balanced. `k` is rounded up to a power of two so
-    /// shard selection is a mask, not a hardware divide — the selection
-    /// runs on every hot-path operation.
-    fn new(k: usize, items: Vec<V>) -> Self {
-        let k = k.next_power_of_two();
-        let mut dealt: Vec<Vec<V>> = (0..k).map(|_| Vec::new()).collect();
-        for (i, value) in items.into_iter().enumerate() {
-            dealt[i % k].push(value);
-        }
-        HotBucket {
-            shards: dealt
-                .into_iter()
-                .map(|items| Shard {
-                    len: AtomicUsize::new(items.len()),
-                    sealed: AtomicBool::new(false),
-                    items: Mutex::new(items),
-                })
-                .collect(),
-            add_cursor: AtomicUsize::new(0),
-            remove_cursor: AtomicUsize::new(0),
-        }
-    }
-
-    /// Shard-index mask: the shard count is always a power of two, so
-    /// `index & mask()` replaces `index % len` on the hot paths.
-    fn mask(&self) -> usize {
-        self.shards.len() - 1
-    }
-
-    /// Seals every sub-shard under its lock and moves the contents out.
-    /// A sealed shard refuses pushes, so stale cached handles fall back to
-    /// the segment-locked path and nothing lands in the orphaned bucket.
-    fn seal(&self) -> Vec<V> {
-        let mut merged: Vec<V> = Vec::new();
-        for shard in self.shards.iter() {
-            let mut items = shard.items.lock();
-            shard.sealed.store(true, Ordering::Release);
-            shard.len.store(0, Ordering::Release);
-            if merged.is_empty() {
-                // Reuse the first non-empty shard's grown capacity.
-                merged = std::mem::take(&mut items);
-            } else {
-                merged.append(&mut items);
-            }
-        }
-        merged
-    }
-
-    /// Occupancy: the sum of the per-shard mirrors. Exact when quiescent,
-    /// momentarily stale against in-flight shard operations — callers
-    /// treat it as a hint (steal sizing, emptiness scans that re-check).
-    fn len(&self) -> usize {
-        self.shards.iter().map(|shard| shard.len.load(Ordering::Acquire)).sum()
-    }
-}
-
-/// Outcome of a pop attempt against a bucket.
-enum HotPop<V> {
-    Got(V),
-    /// The bucket holds nothing (every sub-shard of a split one was empty
-    /// and unsealed).
-    Empty,
-    /// A sealed sub-shard was seen: the bucket is being (or has been)
-    /// demoted — retake the segment-locked path.
-    Sealed,
-}
-
-/// The bucket map plus an exact count of its resident *empty* plain
-/// buckets, kept in lockstep so the residency policy never has to scan,
-/// and the segment-local event counters the pool aggregates into
-/// [`PoolCounters`]. Hot buckets never count as empties: they stay
-/// resident (and split) until the detector demotes them.
+/// The bucket map plus an exact count of its resident *empty* buckets,
+/// kept in lockstep so the residency policy never has to scan, and the
+/// eviction counter the pool reports in [`PoolCounters`](crate::stats::PoolCounters).
 struct Buckets<K, V> {
-    map: BTreeMap<K, Bucket<V>>,
+    map: BTreeMap<K, Vec<V>>,
     empties: usize,
     resident_max: usize,
     evictions: u64,
-    promotions: u64,
-    demotions: u64,
-    /// The keys currently split, kept in lockstep with `map` so the
-    /// hysteresis sweep touches only the (few) hot buckets instead of
-    /// scanning the whole key space on every sampled operation.
-    hot_keys: Vec<K>,
 }
 
 impl<K: Key, V> Buckets<K, V> {
-    /// Routes an add under the segment lock: the plain bucket for `key` —
-    /// created if absent, a resident empty brought back into use — or, for
-    /// a split key, the split bucket's handle (with the key), so the push
-    /// happens under a sub-shard lock instead.
-    #[allow(clippy::type_complexity)]
-    fn bucket_for(&mut self, key: K) -> Result<&mut Vec<V>, (K, Arc<HotBucket<V>>)> {
-        let entry = match self.map.entry(key) {
-            Entry::Vacant(entry) => entry.insert(Bucket::Plain(Vec::new())),
+    /// The bucket for `key`: created if absent, a resident empty brought
+    /// back into use.
+    fn bucket_for(&mut self, key: K) -> &mut Vec<V> {
+        match self.map.entry(key) {
+            Entry::Vacant(entry) => entry.insert(Vec::new()),
             Entry::Occupied(entry) => {
-                if let Bucket::Hot(hot) = entry.get() {
-                    return Err((entry.key().clone(), Arc::clone(hot)));
-                }
                 let bucket = entry.into_mut();
                 if bucket.is_empty() {
                     self.empties -= 1;
                 }
                 bucket
             }
-        };
-        match entry {
-            Bucket::Plain(bucket) => Ok(bucket),
-            Bucket::Hot(_) => unreachable!("split buckets returned above"),
         }
     }
 
-    /// The residency policy in one place: a plain bucket that an operation
-    /// just emptied stays resident (capacity + map node reuse) unless the
+    /// The residency policy in one place: a bucket that an operation just
+    /// emptied stays resident (capacity + map node reuse) unless the
     /// segment already hoards `resident_max` empty buckets, in which case
     /// it is evicted (and counted).
     fn settle_emptied(&mut self, key: &K, emptied: bool) {
@@ -330,70 +134,16 @@ impl<K: Key, V> Buckets<K, V> {
             self.empties += 1;
         }
     }
-
-    /// Splits `key`'s bucket into `k` sub-shards (idempotent: an already
-    /// split bucket just returns its handle; an absent key splits an empty
-    /// bucket pre-emptively). Elements move under the segment lock, so no
-    /// operation can observe the key mid-split.
-    fn promote(&mut self, key: &K, k: usize) -> Arc<HotBucket<V>> {
-        let items = match self.map.get_mut(key) {
-            Some(Bucket::Hot(hot)) => return Arc::clone(hot),
-            Some(Bucket::Plain(bucket)) => {
-                if bucket.is_empty() {
-                    self.empties -= 1;
-                }
-                std::mem::take(bucket)
-            }
-            None => Vec::new(),
-        };
-        let hot = Arc::new(HotBucket::new(k, items));
-        self.map.insert(key.clone(), Bucket::Hot(Arc::clone(&hot)));
-        self.hot_keys.push(key.clone());
-        self.promotions += 1;
-        hot
-    }
-
-    /// Merges `key`'s sub-shards back into a plain bucket, sealing each
-    /// shard under its lock so stale cached handles fall back to the
-    /// segment-locked path (which now sees the plain bucket). An emptied
-    /// hot bucket lands under the normal residency policy.
-    fn demote(&mut self, key: &K) -> bool {
-        let hot = match self.map.get(key) {
-            Some(Bucket::Hot(hot)) => Arc::clone(hot),
-            _ => return false,
-        };
-        let merged = hot.seal();
-        self.hot_keys.retain(|k| k != key);
-        self.demotions += 1;
-        let emptied = merged.is_empty();
-        self.map.insert(key.clone(), Bucket::Plain(merged));
-        self.settle_emptied(key, emptied);
-        true
-    }
 }
 
-/// State shared by the segments of one keyed pool: the transfer-shell
-/// cache, and the hot-key detector with its knobs.
-struct KeyedFamily<K, V> {
-    /// Pool-wide cache of spare transfer vectors: steals fill a recycled
-    /// shell, refills return it (see [`transfer`](crate::transfer)).
-    shells: FreeList<Vec<(K, V)>>,
-    /// The sampled key-frequency window (`None` when hot-key detection is
-    /// disabled); only sampled operations touch its lock.
-    detector: Option<HotKeyDetector<K>>,
-    /// The hot-key knobs, kept even when detection is off so manual
-    /// [`KeyedPool::promote_key`] calls know the sub-shard count.
-    hot_cfg: HotKeyConfig,
-}
+/// Pool-wide cache of spare transfer vectors: steals fill a recycled
+/// shell, refills return it (see [`transfer`](crate::transfer)).
+type Shells<K, V> = Arc<FreeList<Vec<(K, V)>>>;
 
-impl<K: Key, V> KeyedFamily<K, V> {
-    fn new(segments: usize, hotkey: Option<HotKeyConfig>) -> Arc<Self> {
-        Arc::new(KeyedFamily {
-            shells: FreeList::new(CACHED_SHELLS_PER_SEGMENT * segments.max(1) + 2),
-            detector: hotkey.map(HotKeyDetector::new),
-            hot_cfg: hotkey.unwrap_or_default(),
-        })
-    }
+/// The transfer-shell cache for a pool of `segments` keyed segments: at
+/// most [`CACHED_SHELLS_PER_SEGMENT`] retained per segment.
+fn shells_for<K, V>(segments: usize) -> Shells<K, V> {
+    Arc::new(FreeList::new(CACHED_SHELLS_PER_SEGMENT * segments.max(1) + 2))
 }
 
 /// Transfer shells a keyed pool retains per segment (see
@@ -406,7 +156,7 @@ const CACHED_SHELLS_PER_SEGMENT: usize = 2;
 ///
 /// As a `Segment`, [`try_remove`](Segment::try_remove) takes an element of
 /// the first non-empty key, [`steal_half`](Segment::steal_half) takes
-/// ⌈b/2⌉ of the largest (heat-weighted) bucket `b`, and
+/// ⌈b/2⌉ of the largest bucket `b` (ties: smallest key), and
 /// [`add_bulk`](Segment::add_bulk) lands a mixed-key batch under one lock.
 ///
 /// A bucket emptied by removes or steals **stays resident** (an empty
@@ -420,10 +170,6 @@ const CACHED_SHELLS_PER_SEGMENT: usize = 2;
 /// scans); [`drain_all`](Segment::drain_all) releases everything. All
 /// occupancy checks skip empty buckets.
 ///
-/// Hot (split) buckets are handled in two halves: locating one takes the
-/// segment lock briefly (or no lock at all, via a handle's cache), while
-/// the actual element movement happens under the sub-shard locks.
-///
 /// ```
 /// use cpool::keyed::KeyedSegment;
 /// use cpool::Segment;
@@ -434,158 +180,44 @@ const CACHED_SHELLS_PER_SEGMENT: usize = 2;
 /// assert_eq!(stolen.len(), 2, "ceil(3/2) of the largest bucket");
 /// assert!(stolen.iter().all(|(key, _)| *key == "b"));
 /// ```
+///
+/// Aligned to a cache line: a pool's segments sit adjacent in one slice,
+/// and every keyed add and remove writes its segment's lock and length
+/// mirror, so two segments sharing a line would make threads on
+/// different segments invalidate each other's lines on every operation.
+#[repr(align(64))]
 pub struct KeyedSegment<K, V> {
     buckets: Mutex<Buckets<K, V>>,
     len: AtomicUsize,
-    /// Lock-free mirror of `buckets.hot_keys.len()` (written while the
-    /// buckets lock is held): the hysteresis sweep's early-out, so a
-    /// segment with no split buckets pays one relaxed load per sample.
-    hot_gauge: AtomicUsize,
-    family: Arc<KeyedFamily<K, V>>,
+    shells: Shells<K, V>,
 }
 
 impl<K, V> std::fmt::Debug for KeyedSegment<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KeyedSegment")
             .field("len", &self.len.load(Ordering::Relaxed))
-            .field("hot_buckets", &self.hot_gauge.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
 
 impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
-    fn with_family(family: Arc<KeyedFamily<K, V>>, resident_max: usize) -> Self {
+    fn with_shells(shells: Shells<K, V>, resident_max: usize) -> Self {
         KeyedSegment {
             buckets: Mutex::new(Buckets {
                 map: BTreeMap::new(),
                 empties: 0,
                 resident_max,
                 evictions: 0,
-                promotions: 0,
-                demotions: 0,
-                hot_keys: Vec::new(),
             }),
             len: AtomicUsize::new(0),
-            hot_gauge: AtomicUsize::new(0),
-            family,
+            shells,
         }
     }
 
     /// Elements of one key in this segment (snapshot; takes the segment
     /// lock).
     pub fn key_len(&self, key: &K) -> usize {
-        self.buckets.lock().map.get(key).map_or(0, Bucket::len)
-    }
-
-    /// Pushes into one sub-shard of a hot bucket, without the segment
-    /// lock. `at` picks the shard (mod the shard count): handles pass
-    /// their process slot, so concurrent processes land on distinct
-    /// shards and a process's own pops find its pushes first; routed
-    /// segment-internal adds rotate via the bucket's cursor instead.
-    /// `Err` hands the value back when the shard is sealed — a demotion
-    /// raced; retake the routed path, which now sees a plain bucket.
-    fn hot_push(&self, hot: &HotBucket<V>, value: V, at: usize) -> Result<(), V> {
-        let shard = &hot.shards[at & hot.mask()];
-        let mut items = shard.items.lock();
-        if shard.sealed.load(Ordering::Relaxed) {
-            return Err(value);
-        }
-        items.push(value);
-        // Both occupancy mirrors move while the shard lock is held, so a
-        // demotion or drain that later seals this shard observes them.
-        shard.len.store(items.len(), Ordering::Release);
-        self.len.fetch_add(1, Ordering::AcqRel);
-        Ok(())
-    }
-
-    /// Pops from the first non-empty sub-shard, probing every shard in
-    /// ring order from `start` (removes drain any sub-shard), without the
-    /// segment lock. Handles start at their process slot — the shard
-    /// their own pushes land on — so the steady-state pop is a single
-    /// lock acquisition; segment-internal removes rotate via the bucket's
-    /// cursor.
-    fn hot_pop(&self, hot: &HotBucket<V>, start: usize) -> HotPop<V> {
-        let mask = hot.mask();
-        let mut saw_sealed = false;
-        for i in 0..hot.shards.len() {
-            let shard = &hot.shards[(start + i) & mask];
-            // Lock-free pre-checks: a sealed flag is sticky, and an empty
-            // shard's len mirror says so — neither needs the lock (a push
-            // racing past the mirror read linearizes after this pop).
-            if shard.sealed.load(Ordering::Acquire) {
-                saw_sealed = true;
-                continue;
-            }
-            if shard.len.load(Ordering::Acquire) == 0 {
-                continue;
-            }
-            let mut items = shard.items.lock();
-            if shard.sealed.load(Ordering::Relaxed) {
-                saw_sealed = true;
-                continue;
-            }
-            if let Some(value) = items.pop() {
-                shard.len.store(items.len(), Ordering::Release);
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                return HotPop::Got(value);
-            }
-        }
-        if saw_sealed {
-            HotPop::Sealed
-        } else {
-            HotPop::Empty
-        }
-    }
-
-    /// Deals a single-key bulk refill across the sub-shards in balanced
-    /// chunks. Returns `false` — with the undelivered remainder left in
-    /// `pairs` — when it meets a sealed sub-shard: a demotion is sealing
-    /// the whole bucket, and the caller reroutes the rest through the map.
-    fn hot_push_bulk(&self, hot: &HotBucket<V>, pairs: &mut Vec<(K, V)>) -> bool {
-        let per = pairs.len().div_ceil(hot.shards.len());
-        let start = hot.add_cursor.fetch_add(1, Ordering::Relaxed);
-        for i in 0..hot.shards.len() {
-            let shard = &hot.shards[(start + i) & hot.mask()];
-            let mut items = shard.items.lock();
-            if shard.sealed.load(Ordering::Relaxed) {
-                return false;
-            }
-            let take = per.min(pairs.len());
-            items.extend(pairs.drain(pairs.len() - take..).map(|(_, value)| value));
-            shard.len.store(items.len(), Ordering::Release);
-            self.len.fetch_add(take, Ordering::AcqRel);
-        }
-        true
-    }
-
-    /// Steal-half, sub-shard-wise: ⌈s/2⌉ of *each* unsealed sub-shard
-    /// (`s` = its size), one shard lock at a time and never the segment
-    /// lock, into one transfer shell — so a hot victim keeps serving its
-    /// other sub-shards while being robbed.
-    fn hot_steal_half(&self, key: &K, hot: &HotBucket<V>) -> Vec<(K, V)> {
-        let expected = steal_count(hot.len());
-        if expected == 0 {
-            return Vec::new();
-        }
-        let mut stolen = self.transfer_shell(expected);
-        for shard in hot.shards.iter() {
-            if shard.sealed.load(Ordering::Acquire) || shard.len.load(Ordering::Acquire) == 0 {
-                continue;
-            }
-            let mut items = shard.items.lock();
-            if shard.sealed.load(Ordering::Relaxed) {
-                continue;
-            }
-            let take = steal_count(items.len());
-            if take == 0 {
-                continue;
-            }
-            let at = items.len() - take;
-            stolen.extend(items.drain(at..).map(|value| (key.clone(), value)));
-            shard.len.store(items.len(), Ordering::Release);
-            self.len.fetch_sub(take, Ordering::AcqRel);
-        }
-        stolen
+        self.buckets.lock().map.get(key).map_or(0, Vec::len)
     }
 
     /// An empty transfer vector for a steal of about `n` elements: a
@@ -595,120 +227,35 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
         if n < SHELL_SPILL_MIN {
             Vec::with_capacity(n)
         } else {
-            self.family.shells.take().unwrap_or_default()
+            self.shells.take().unwrap_or_default()
         }
-    }
-
-    /// Lands a batch whose pairs all carry `key` (every steal transfer):
-    /// one bucket append under the segment lock, or a sub-shard-wise deal
-    /// off it when the bucket is split.
-    fn add_bulk_key(&self, key: &K, pairs: &mut Vec<(K, V)>) {
-        while !pairs.is_empty() {
-            let hot = {
-                let mut buckets = self.buckets.lock();
-                match buckets.bucket_for(key.clone()) {
-                    Ok(bucket) => {
-                        let n = pairs.len();
-                        bucket.extend(pairs.drain(..).map(|(_, value)| value));
-                        self.len.fetch_add(n, Ordering::AcqRel);
-                        return;
-                    }
-                    Err((_, hot)) => hot,
-                }
-            };
-            // Sub-shard-wise refill, off the segment lock; a raced
-            // demotion (all shards sealed) loops back to the plain path.
-            if self.hot_push_bulk(&hot, pairs) {
-                return;
-            }
-        }
-    }
-
-    /// Adds a mixed-key batch under one lock acquisition; values bound for
-    /// hot buckets are pushed afterwards under their sub-shard locks.
-    fn add_bulk_mixed(&self, pairs: &mut Vec<(K, V)>) {
-        let mut deferred: Vec<(K, Arc<HotBucket<V>>, V)> = Vec::new();
-        let mut landed = 0;
-        {
-            let mut buckets = self.buckets.lock();
-            for (key, value) in pairs.drain(..) {
-                match buckets.bucket_for(key) {
-                    Ok(bucket) => {
-                        bucket.push(value);
-                        landed += 1;
-                    }
-                    Err((key, hot)) => deferred.push((key, hot, value)),
-                }
-            }
-            // Publish under the lock, like every other mutation: a remover
-            // could otherwise take these elements and decrement the mirror
-            // first, wrapping it to a huge "non-empty" reading that keeps
-            // waiting searches spinning on a segment that holds nothing.
-            if landed > 0 {
-                self.len.fetch_add(landed, Ordering::AcqRel);
-            }
-        }
-        for (key, hot, value) in deferred {
-            let at = hot.add_cursor.fetch_add(1, Ordering::Relaxed);
-            if let Err(value) = self.hot_push(&hot, value, at) {
-                // Sealed (demotion raced): the retried add routes plain.
-                self.add((key, value));
-            }
-        }
-    }
-
-    /// Pops one element of `key`'s bucket, consuming the segment lock: a
-    /// plain bucket pops under it (settling residency and the cached
-    /// length), a split one pops sub-shard-wise once it is released.
-    fn pop_bucket(&self, mut buckets: MutexGuard<'_, Buckets<K, V>>, key: &K) -> HotPop<V> {
-        let hot = match buckets.map.get_mut(key) {
-            Some(Bucket::Hot(hot)) => Arc::clone(hot),
-            Some(Bucket::Plain(bucket)) => {
-                let Some(value) = bucket.pop() else { return HotPop::Empty };
-                let emptied = bucket.is_empty();
-                buckets.settle_emptied(key, emptied);
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                return HotPop::Got(value);
-            }
-            None => return HotPop::Empty,
-        };
-        drop(buckets);
-        self.hot_pop(&hot, hot.remove_cursor.fetch_add(1, Ordering::Relaxed))
     }
 
     fn remove_key(&self, key: &K) -> Option<V> {
-        loop {
-            match self.pop_bucket(self.buckets.lock(), key) {
-                HotPop::Got(value) => return Some(value),
-                HotPop::Empty => return None,
-                // Demotion moved the elements back to a plain bucket.
-                HotPop::Sealed => continue,
-            }
-        }
+        let mut buckets = self.buckets.lock();
+        let bucket = buckets.map.get_mut(key)?;
+        let value = bucket.pop()?;
+        let emptied = bucket.is_empty();
+        buckets.settle_emptied(key, emptied);
+        self.len.fetch_sub(1, Ordering::AcqRel);
+        Some(value)
     }
 
     /// Steals ⌈b/2⌉ of `key`'s bucket (`b` = its size) into a transfer
-    /// vector, consuming the segment lock: a plain bucket drains under it
-    /// (settling residency and the cached length), a split one is robbed
-    /// sub-shard-wise once it is released. Empty if the bucket is absent
-    /// or empty.
+    /// vector under the held segment lock, settling residency and the
+    /// cached length. Empty if the bucket is absent or empty.
     fn steal_bucket(&self, mut buckets: MutexGuard<'_, Buckets<K, V>>, key: &K) -> Vec<(K, V)> {
-        let hot = match buckets.map.get_mut(key) {
-            Some(Bucket::Hot(hot)) => Arc::clone(hot),
-            Some(Bucket::Plain(bucket)) if !bucket.is_empty() => {
-                let take = steal_count(bucket.len());
-                let at = bucket.len() - take;
-                let mut stolen = self.transfer_shell(take);
-                stolen.extend(bucket.drain(at..).map(|value| (key.clone(), value)));
-                let emptied = bucket.is_empty();
-                buckets.settle_emptied(key, emptied);
-                self.len.fetch_sub(take, Ordering::AcqRel);
-                return stolen;
-            }
-            _ => return Vec::new(),
+        let Some(bucket) = buckets.map.get_mut(key).filter(|bucket| !bucket.is_empty()) else {
+            return Vec::new();
         };
-        drop(buckets);
-        self.hot_steal_half(key, &hot)
+        let take = steal_count(bucket.len());
+        let at = bucket.len() - take;
+        let mut stolen = self.transfer_shell(take);
+        stolen.extend(bucket.drain(at..).map(|value| (key.clone(), value)));
+        let emptied = bucket.is_empty();
+        buckets.settle_emptied(key, emptied);
+        self.len.fetch_sub(take, Ordering::AcqRel);
+        stolen
     }
 
     /// Steals ⌈b/2⌉ of the `key` bucket — see
@@ -717,144 +264,59 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
         self.steal_bucket(self.buckets.lock(), key)
     }
 
-    /// The key's observed heat in `[0, 1]` (0 when detection is off) —
-    /// the weight the steal sweep folds into victim ranking.
-    fn heat(&self, key: &K) -> f64 {
-        self.family.detector.as_ref().map_or(0.0, |d| d.heat(key))
-    }
-
-    /// Splits `key`'s bucket into `k` sub-shards (idempotent); returns the
-    /// split bucket for caching.
-    fn promote(&self, key: &K, k: usize) -> Arc<HotBucket<V>> {
-        let mut buckets = self.buckets.lock();
-        let hot = buckets.promote(key, k);
-        self.hot_gauge.store(buckets.hot_keys.len(), Ordering::Release);
-        hot
-    }
-
-    /// Merges `key`'s sub-shards back into a plain bucket; `false` if the
-    /// key is not split here.
-    fn demote(&self, key: &K) -> bool {
-        let mut buckets = self.buckets.lock();
-        let merged = buckets.demote(key);
-        self.hot_gauge.store(buckets.hot_keys.len(), Ordering::Release);
-        merged
-    }
-
-    /// The split bucket under `key`, if any (for handle caches).
-    fn hot_bucket(&self, key: &K) -> Option<Arc<HotBucket<V>>> {
-        match self.buckets.lock().map.get(key) {
-            Some(Bucket::Hot(hot)) => Some(Arc::clone(hot)),
-            _ => None,
-        }
-    }
-
-    /// Demotes every split bucket whose key `is_cold` — the hysteresis
-    /// sweep sampled operations run against their home segment. Returns
-    /// how many buckets were merged back. A segment with no split buckets
-    /// answers from the gauge without taking any lock; one with split
-    /// buckets consults only its (few) hot keys, never the whole map.
-    fn demote_cold(&self, is_cold: &dyn Fn(&K) -> bool) -> usize {
-        if self.hot_gauge.load(Ordering::Acquire) == 0 {
-            return 0;
-        }
-        let mut buckets = self.buckets.lock();
-        let cold: Vec<K> = buckets.hot_keys.iter().filter(|key| is_cold(key)).cloned().collect();
-        for key in &cold {
-            buckets.demote(key);
-        }
-        self.hot_gauge.store(buckets.hot_keys.len(), Ordering::Release);
-        cold.len()
-    }
-
-    /// Segment-local event counters and the split-bucket gauge, for
+    /// Empty buckets this segment has evicted, for
     /// [`PoolCounters`](crate::stats::PoolCounters) aggregation.
-    fn counters(&self) -> (u64, u64, u64, u64) {
-        let buckets = self.buckets.lock();
-        (buckets.evictions, buckets.promotions, buckets.demotions, buckets.hot_keys.len() as u64)
+    fn evictions(&self) -> u64 {
+        self.buckets.lock().evictions
     }
 }
 
 impl<K: Key, V: Send + 'static> Segment for KeyedSegment<K, V> {
     type Item = (K, V);
 
-    /// A standalone segment: default residency bound, no hot-key detector
-    /// (every heat is 0, so steals take the plain largest bucket).
+    /// A standalone segment with the default residency bound.
     fn new() -> Self {
-        Self::with_family(KeyedFamily::new(1, None), RESIDENT_BUCKETS_MAX)
+        Self::with_shells(shells_for(1), RESIDENT_BUCKETS_MAX)
     }
 
     /// One pool's segments share a single transfer-shell cache.
     fn new_family(count: usize) -> Vec<Self> {
-        let family = KeyedFamily::new(count, None);
-        (0..count).map(|_| Self::with_family(Arc::clone(&family), RESIDENT_BUCKETS_MAX)).collect()
+        let shells = shells_for(count);
+        (0..count).map(|_| Self::with_shells(Arc::clone(&shells), RESIDENT_BUCKETS_MAX)).collect()
     }
 
-    fn add(&self, (mut key, mut value): (K, V)) {
-        loop {
-            let (k, hot) = {
-                let mut buckets = self.buckets.lock();
-                match buckets.bucket_for(key) {
-                    Ok(bucket) => {
-                        bucket.push(value);
-                        self.len.fetch_add(1, Ordering::AcqRel);
-                        return;
-                    }
-                    Err(routed) => routed,
-                }
-            };
-            let at = hot.add_cursor.fetch_add(1, Ordering::Relaxed);
-            match self.hot_push(&hot, value, at) {
-                Ok(()) => return,
-                // Sealed: the bucket was demoted between routing and the
-                // push — the retried route lands in the plain bucket.
-                Err(v) => {
-                    key = k;
-                    value = v;
-                }
-            }
-        }
+    fn add(&self, (key, value): (K, V)) {
+        let mut buckets = self.buckets.lock();
+        buckets.bucket_for(key).push(value);
+        self.len.fetch_add(1, Ordering::AcqRel);
     }
 
     fn try_remove(&self) -> Option<(K, V)> {
-        loop {
-            let buckets = self.buckets.lock();
-            // First *non-empty* key in order: deterministic; empty buckets
-            // are resident capacity, not occupancy.
-            let key = buckets.map.iter().find(|(_, bucket)| !bucket.is_empty())?.0.clone();
-            // A split bucket can race empty or mid-demotion: rescan — the
-            // occupancy mirror has moved on, so the scan converges.
-            if let HotPop::Got(value) = self.pop_bucket(buckets, &key) {
-                return Some((key, value));
-            }
-        }
+        let mut buckets = self.buckets.lock();
+        // First *non-empty* key in order: deterministic; empty buckets are
+        // resident capacity, not occupancy.
+        let (key, value, emptied) = buckets.map.iter_mut().find_map(|(key, bucket)| {
+            let value = bucket.pop()?;
+            Some((key.clone(), value, bucket.is_empty()))
+        })?;
+        buckets.settle_emptied(&key, emptied);
+        self.len.fetch_sub(1, Ordering::AcqRel);
+        Some((key, value))
     }
 
     fn len(&self) -> usize {
         self.len.load(Ordering::Acquire)
     }
 
-    /// Steals ⌈b/2⌉ of the highest-scoring non-empty bucket (ties:
-    /// smallest key). The score is heat-weighted occupancy —
-    /// `len × (1 + boost × heat)` — so under skew the *contended* bucket
-    /// is robbed, which both balances load and seeds the thief's own
-    /// reserve of the key most likely to be asked for next; with no heat
-    /// it degenerates to the plain largest-bucket rule.
+    /// Steals ⌈b/2⌉ of the largest non-empty bucket (ties: smallest key),
+    /// which balances bulk while leaving the victim's other keys local.
     fn steal_half(&self) -> Vec<(K, V)> {
         let buckets = self.buckets.lock();
-        let score = |key: &K, bucket: &Bucket<V>| {
-            bucket.len() as f64 * (1.0 + HEAT_STEAL_BOOST * self.heat(key))
-        };
         let Some(key) = buckets
             .map
             .iter()
             .filter(|(_, bucket)| !bucket.is_empty())
-            .max_by(|a, b| {
-                score(a.0, a.1)
-                    .partial_cmp(&score(b.0, b.1))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| b.0.cmp(a.0))
-            })
+            .max_by(|a, b| a.1.len().cmp(&b.1.len()).then_with(|| b.0.cmp(a.0)))
             .map(|(key, _)| key.clone())
         else {
             return Vec::new();
@@ -864,51 +326,46 @@ impl<K: Key, V: Send + 'static> Segment for KeyedSegment<K, V> {
 
     fn add_bulk(&self, mut batch: Vec<(K, V)>) {
         if let Some((first, _)) = batch.first() {
+            let n = batch.len();
+            let mut buckets = self.buckets.lock();
             if batch.iter().all(|(key, _)| key == first) {
+                // Every steal transfer: one bucket append.
                 let key = first.clone();
-                self.add_bulk_key(&key, &mut batch);
+                buckets.bucket_for(key).extend(batch.drain(..).map(|(_, value)| value));
             } else {
-                self.add_bulk_mixed(&mut batch);
+                for (key, value) in batch.drain(..) {
+                    buckets.bucket_for(key).push(value);
+                }
             }
+            // Publish under the lock, like every other mutation: a remover
+            // could otherwise take these elements and decrement the mirror
+            // first, wrapping it to a huge "non-empty" reading that keeps
+            // waiting searches spinning on a segment that holds nothing.
+            self.len.fetch_add(n, Ordering::AcqRel);
         }
         // The drained transfer shell goes back to the pool for the next
         // bulk steal (lock released first). Undersized shells are not worth
         // the round trip; oversized ones would pin unbounded memory.
         if (SHELL_SPILL_MIN..=SHELL_SPILL_MAX).contains(&batch.capacity()) {
-            self.family.shells.put(batch);
+            self.shells.put(batch);
         }
     }
 
     /// Removes up to `n` elements (first keys first, deterministically)
-    /// under one lock acquisition; hot buckets drain sub-shard-wise under
-    /// their shard locks (segment lock before shard lock is the crate-wide
-    /// order). Emptied plain buckets settle under the per-op residency
-    /// policy; emptied hot buckets stay split until the detector demotes
-    /// them.
+    /// under one lock acquisition. Emptied buckets settle under the per-op
+    /// residency policy.
     fn remove_up_to(&self, n: usize) -> Vec<(K, V)> {
         let mut out = Vec::new();
         let mut emptied = Vec::new();
         let mut buckets = self.buckets.lock();
-        for (key, bucket) in buckets.map.iter_mut() {
-            match bucket {
-                Bucket::Plain(values) if !values.is_empty() => {
-                    let at = values.len().saturating_sub(n - out.len());
-                    out.extend(values.drain(at..).map(|value| (key.clone(), value)));
-                    if values.is_empty() {
-                        emptied.push(key.clone());
-                    }
-                }
-                Bucket::Plain(_) => {}
-                Bucket::Hot(hot) => {
-                    for shard in hot.shards.iter() {
-                        let mut items = shard.items.lock();
-                        if !shard.sealed.load(Ordering::Relaxed) {
-                            let at = items.len().saturating_sub(n - out.len());
-                            out.extend(items.drain(at..).map(|value| (key.clone(), value)));
-                            shard.len.store(items.len(), Ordering::Release);
-                        }
-                    }
-                }
+        for (key, values) in buckets.map.iter_mut() {
+            if values.is_empty() {
+                continue;
+            }
+            let at = values.len().saturating_sub(n - out.len());
+            out.extend(values.drain(at..).map(|value| (key.clone(), value)));
+            if values.is_empty() {
+                emptied.push(key.clone());
             }
             if out.len() == n {
                 break;
@@ -923,22 +380,14 @@ impl<K: Key, V: Send + 'static> Segment for KeyedSegment<K, V> {
 
     /// Removes every element under one lock acquisition. This is the one
     /// operation that also evicts the resident buckets (and their retained
-    /// capacity): a drain is a teardown, not steady-state traffic. Hot
-    /// buckets are sealed shard-by-shard so a stale cached handle cannot
-    /// push into an orphaned bucket — its retry re-routes through the map.
+    /// capacity): a drain is a teardown, not steady-state traffic.
     fn drain_all(&self) -> Vec<(K, V)> {
         let mut buckets = self.buckets.lock();
         let mut out = Vec::new();
-        for (key, bucket) in std::mem::take(&mut buckets.map) {
-            let values = match bucket {
-                Bucket::Plain(values) => values,
-                Bucket::Hot(hot) => hot.seal(),
-            };
+        for (key, values) in std::mem::take(&mut buckets.map) {
             out.extend(values.into_iter().map(|v| (key.clone(), v)));
         }
         buckets.empties = 0;
-        buckets.hot_keys.clear();
-        self.hot_gauge.store(0, Ordering::Release);
         self.len.fetch_sub(out.len(), Ordering::AcqRel);
         out
     }
@@ -1013,7 +462,6 @@ impl<K: Key, V: Send + 'static, Q: Borrow<K>> RemoveFilter<KeyedSegment<K, V>> f
 pub struct KeyedPoolBuilder<T: Timing = NullTiming> {
     segments: usize,
     resident_buckets_max: usize,
-    hotkey: Option<HotKeyConfig>,
     handle_cache: usize,
     timing: T,
 }
@@ -1023,16 +471,14 @@ impl<T: Timing> std::fmt::Debug for KeyedPoolBuilder<T> {
         f.debug_struct("KeyedPoolBuilder")
             .field("segments", &self.segments)
             .field("resident_buckets_max", &self.resident_buckets_max)
-            .field("hotkey", &self.hotkey)
             .field("handle_cache", &self.handle_cache)
             .finish_non_exhaustive()
     }
 }
 
 impl KeyedPoolBuilder {
-    /// Starts building a keyed pool with `segments` segments, the free
-    /// [`NullTiming`] cost model, and hot-key detection at the
-    /// [default knobs](HotKeyConfig::default).
+    /// Starts building a keyed pool with `segments` segments and the free
+    /// [`NullTiming`] cost model.
     ///
     /// # Panics
     ///
@@ -1042,7 +488,6 @@ impl KeyedPoolBuilder {
         KeyedPoolBuilder {
             segments,
             resident_buckets_max: RESIDENT_BUCKETS_MAX,
-            hotkey: Some(HotKeyConfig::default()),
             handle_cache: 0,
             timing: NullTiming::new(),
         }
@@ -1057,7 +502,6 @@ impl<T: Timing> KeyedPoolBuilder<T> {
         KeyedPoolBuilder {
             segments: self.segments,
             resident_buckets_max: self.resident_buckets_max,
-            hotkey: self.hotkey,
             handle_cache: self.handle_cache,
             timing,
         }
@@ -1074,27 +518,6 @@ impl<T: Timing> KeyedPoolBuilder<T> {
         self
     }
 
-    /// Installs hot-key detection knobs (see [`HotKeyConfig`]); detection
-    /// is on by default with [`HotKeyConfig::default`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the knobs are incoherent (e.g. `demote_pct` not strictly
-    /// below `promote_pct`).
-    pub fn hot_keys(mut self, cfg: HotKeyConfig) -> Self {
-        cfg.validate();
-        self.hotkey = Some(cfg);
-        self
-    }
-
-    /// Disables hot-key detection: no sampling, no splits, and the steal
-    /// sweep falls back to the plain largest-bucket rule. Manual
-    /// [`KeyedPool::promote_key`] still works (using default sub-shards).
-    pub fn hot_keys_disabled(mut self) -> Self {
-        self.hotkey = None;
-        self
-    }
-
     /// Gives every [`KeyedHandle`] a two-magazine element cache of `depth`
     /// `(key, value)` pairs per magazine (default 0 = off), exchanged
     /// through a shared per-pool depot — the keyed counterpart of
@@ -1102,7 +525,7 @@ impl<T: Timing> KeyedPoolBuilder<T> {
     ///
     /// Keyed magazines are *mixed-key*: a cached pair is invisible to
     /// `key_len` and to `try_remove_key` on other handles until it is
-    /// flushed, and cached adds skip hot-key sampling. See the README's
+    /// flushed. See the README's
     /// "Handle-local caching" section for when not to enable this.
     pub fn handle_cache(mut self, depth: usize) -> Self {
         self.handle_cache = depth;
@@ -1112,9 +535,9 @@ impl<T: Timing> KeyedPoolBuilder<T> {
     /// Builds the keyed pool.
     #[must_use]
     pub fn build<K: Key, V: Send + 'static>(self) -> KeyedPool<K, V, T> {
-        let family = KeyedFamily::new(self.segments, self.hotkey);
+        let shells = shells_for(self.segments);
         let segments = (0..self.segments)
-            .map(|_| KeyedSegment::with_family(Arc::clone(&family), self.resident_buckets_max))
+            .map(|_| KeyedSegment::with_shells(Arc::clone(&shells), self.resident_buckets_max))
             .collect();
         KeyedPool {
             pool: PoolBuilder::new(self.segments)
@@ -1220,40 +643,14 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedPool<K, V, T> {
     /// Registers a process; the `i`-th registration homes at segment
     /// `i mod segments`.
     pub fn register(&self) -> KeyedHandle<K, V, T> {
-        KeyedHandle { handle: self.pool.register(), hot: HotCache::default() }
-    }
-
-    /// Splits `key`'s bucket into sub-shards on every segment, regardless
-    /// of observed heat — a manual override for workloads that know their
-    /// hot set up front (and for deterministic tests/benches). Uses the
-    /// configured [`HotKeyConfig::sub_shards`]; idempotent.
-    pub fn promote_key(&self, key: &K) {
-        for segment in self.shared.segments.iter() {
-            segment.promote(key, segment.family.hot_cfg.sub_shards);
-        }
-    }
-
-    /// Merges `key`'s sub-shards back into plain buckets on every segment
-    /// (no-op where the key is not split). Handles still caching the split
-    /// bucket fall back to the routed path on their next `key` operation.
-    pub fn demote_key(&self, key: &K) {
-        for segment in self.shared.segments.iter() {
-            segment.demote(key);
-        }
+        KeyedHandle { handle: self.pool.register() }
     }
 
     /// Statistics of dropped handles, by process id, plus the pool-wide
-    /// keyed-frontend counters (bucket evictions, hot-key promotions and
-    /// demotions, and the current split-bucket gauge).
+    /// bucket-eviction count.
     pub fn stats(&self) -> PoolStats {
         let mut stats = self.pool.stats();
-        for segment in self.shared.segments.iter() {
-            let (evictions, promotions, demotions, hot) = segment.counters();
-            stats.pool.bucket_evictions += evictions;
-            stats.pool.hotkey_promotions += promotions;
-            stats.pool.hotkey_demotions += demotions;
-            stats.pool.hot_buckets += hot;
-        }
+        stats.pool.bucket_evictions = self.shared.segments.iter().map(|s| s.evictions()).sum();
         stats
     }
 }
@@ -1262,7 +659,7 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedPool<K, V, T> {
 type Inner<K, V, T> = Handle<KeyedSegment<K, V>, LinearSearch, T>;
 
 /// Per-process handle to a [`KeyedPool`]: a key API over the pool's
-/// [`Handle`], plus the handle-local hot-key state.
+/// [`Handle`].
 ///
 /// It dereferences to that handle, so the plain handle's accessors and
 /// lifecycle — [`proc_id`](Handle::proc_id), [`stats`](Handle::stats),
@@ -1275,7 +672,6 @@ type Inner<K, V, T> = Handle<KeyedSegment<K, V>, LinearSearch, T>;
 /// the livelock gate and deposits statistics.
 pub struct KeyedHandle<K: Key, V: Send + 'static, T: Timing = NullTiming> {
     handle: Inner<K, V, T>,
-    hot: HotCache<K, V>,
 }
 
 impl<K: Key, V: Send + 'static, T: Timing> std::ops::Deref for KeyedHandle<K, V, T> {
@@ -1301,178 +697,12 @@ impl<K: Key, V: Send + 'static, T: Timing> std::fmt::Debug for KeyedHandle<K, V,
     }
 }
 
-/// A keyed handle's hot-key state: the sampling countdowns and the cache
-/// of this home segment's split buckets.
-struct HotCache<K, V> {
-    /// Handle-local cache of this home segment's split buckets: hot-key
-    /// operations go straight to a sub-shard lock, bypassing the segment
-    /// lock entirely. A flat vector, linearly scanned — it holds a
-    /// handful of genuinely hot keys at most, and the scan is the per-op
-    /// cost of every keyed operation's fast-path probe. Entries go stale
-    /// harmlessly — a sealed sub-shard bounces the operation back to the
-    /// routed path, which uncaches.
-    entries: Vec<(K, Arc<HotBucket<V>>)>,
-    /// `(min, max)` of the cached keys — the one-comparison pre-filter
-    /// that spares cold-key operations the cache scan (`None` when the
-    /// cache is empty).
-    range: Option<(K, K)>,
-    /// Countdown to the next sampled operation (see
-    /// [`HotKeyConfig::sample_every`]); handle-local, so the unsampled
-    /// path touches no shared state.
-    sample_tick: u32,
-    /// Countdown (in samples) to the next hysteresis sweep. The sweep
-    /// costs a segment-lock plus a detector probe per split bucket, so it
-    /// runs on one sample in [`SWEEP_EVERY_SAMPLES`] — decay only needs
-    /// to be eventual, not immediate.
-    sweep_tick: u32,
-}
-
-impl<K, V> Default for HotCache<K, V> {
-    fn default() -> Self {
-        HotCache { entries: Vec::new(), range: None, sample_tick: 0, sweep_tick: 0 }
-    }
-}
-
-impl<K: Key, V: Send + 'static> HotCache<K, V> {
-    /// Feeds one in [`HotKeyConfig::sample_every`] operations on `key`
-    /// into the pool's hot-key detector; on a promote-threshold crossing
-    /// splits the key's bucket on the home segment (each handle promotes
-    /// lazily for its own segment — other segments split when their own
-    /// traffic samples the key), and sweeps cooled-off split buckets back
-    /// to plain. No-op (one branch, one decrement) off the sample tick or
-    /// with detection disabled.
-    fn maybe_sample(&mut self, segment: &KeyedSegment<K, V>, key: &K) {
-        let Some(detector) = &segment.family.detector else { return };
-        self.sample_tick += 1;
-        if self.sample_tick < detector.cfg().sample_every {
-            return;
-        }
-        self.sample_tick = 0;
-        let count = detector.observe(key.clone());
-        if count >= detector.cfg().promote_count() {
-            // Splitting is idempotent but not free (segment lock + cache
-            // refresh); a steadily hot key re-crosses the threshold on
-            // every sample, so skip once this handle already holds the
-            // split bucket.
-            if self.get(key).is_none() {
-                let hot = segment.promote(key, detector.cfg().sub_shards);
-                self.insert(key.clone(), hot);
-            }
-        } else if count >= detector.cfg().demote_count() && self.get(key).is_none() {
-            // Another handle may have split this bucket already (each
-            // handle's window samples are shared); adopt the split so this
-            // handle's traffic also takes the sub-shard fast path.
-            if let Some(hot) = segment.hot_bucket(key) {
-                self.insert(key.clone(), hot);
-            }
-        }
-        // Hysteresis sweep: merge back every split bucket whose key fell
-        // below the demote threshold (strictly under the promote one, so a
-        // key hovering at one level cannot thrash). Throttled to one
-        // sample in SWEEP_EVERY_SAMPLES — decay is eventual by design.
-        self.sweep_tick += 1;
-        if self.sweep_tick >= SWEEP_EVERY_SAMPLES {
-            self.sweep_tick = 0;
-            let demote_count = detector.cfg().demote_count();
-            segment.demote_cold(&|k| detector.count(k) < demote_count);
-        }
-    }
-
-    /// The cached split bucket for `key`, if this handle has adopted one.
-    /// The key-range pre-filter rejects most cold keys in one comparison
-    /// before the (short) linear scan — this probe is on every keyed
-    /// operation's path, hot or not.
-    fn get(&self, key: &K) -> Option<&Arc<HotBucket<V>>> {
-        match &self.range {
-            Some((lo, hi)) if key >= lo && key <= hi => {
-                self.entries.iter().find(|(k, _)| k == key).map(|(_, hot)| hot)
-            }
-            _ => None,
-        }
-    }
-
-    /// Recomputes the cache's key-range pre-filter after a mutation.
-    fn refresh_range(&mut self) {
-        self.range = match (
-            self.entries.iter().map(|(k, _)| k).min(),
-            self.entries.iter().map(|(k, _)| k).max(),
-        ) {
-            (Some(lo), Some(hi)) => Some((lo.clone(), hi.clone())),
-            _ => None,
-        };
-    }
-
-    /// Drops a stale cache entry (the bucket was demoted behind us).
-    fn remove(&mut self, key: &K) {
-        self.entries.retain(|(k, _)| k != key);
-        self.refresh_range();
-    }
-
-    /// Caches a split bucket for the segment-lock-free fast path. The
-    /// cache is a small bounded vector; at the bound it is cleared rather
-    /// than evicted piecewise — by construction only genuinely hot keys
-    /// land here, so refill is cheap and rare.
-    fn insert(&mut self, key: K, hot: Arc<HotBucket<V>>) {
-        if let Some(slot) = self.entries.iter_mut().find(|(k, _)| *k == key) {
-            slot.1 = hot;
-            return;
-        }
-        if self.entries.len() >= HOT_CACHE_MAX {
-            self.entries.clear();
-        }
-        self.entries.push((key, hot));
-        self.refresh_range();
-    }
-
-    /// The keyed add's segment placement: samples the key, then pushes a
-    /// cached hot key under one sub-shard lock (the process slot as
-    /// sub-shard affinity: concurrent handles spread across distinct
-    /// shards, and this handle's pops probe the same shard first), and
-    /// routes everything else through the segment.
-    fn place(&mut self, segment: &KeyedSegment<K, V>, me: ProcId, (key, mut value): (K, V)) {
-        self.maybe_sample(segment, &key);
-        if let Some(hot) = self.get(&key) {
-            match segment.hot_push(hot, value, me.index()) {
-                Ok(()) => return,
-                Err(v) => {
-                    // Sealed: the bucket was demoted; drop the stale cache
-                    // entry and take the routed path.
-                    self.remove(&key);
-                    value = v;
-                }
-            }
-        }
-        segment.add((key, value));
-    }
-
-    /// The keyed remove's fast path: a cached split bucket serves the
-    /// remove under one sub-shard lock, never touching the segment lock.
-    /// An empty or sealed result falls through to the full pass (which can
-    /// steal the key from remote segments) under the same operation timer,
-    /// which the caller started and finishes.
-    fn pop<T: Timing>(&mut self, h: &Inner<K, V, T>, key: &K) -> Option<V> {
-        let hot = self.get(key)?;
-        h.shared.timing.charge(h.me, Resource::Segment(h.seg));
-        match h.shared.segments[h.seg.index()].hot_pop(hot, h.me.index()) {
-            HotPop::Got(value) => Some(value),
-            HotPop::Sealed => {
-                self.remove(key);
-                None
-            }
-            HotPop::Empty => None,
-        }
-    }
-}
-
 impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
-    /// Adds an element under `key` — [`Handle::add`] of the pair, whose
-    /// segment placement samples the key for the hot-key detector and
-    /// sends a cached hot key straight to its split bucket, bypassing the
-    /// segment lock. Consumers parked in a [`Block`](WaitStrategy::Block)
-    /// remove wake on the add edge.
+    /// Adds an element under `key` — [`Handle::add`] of the pair.
+    /// Consumers parked in a [`Block`](WaitStrategy::Block) remove wake on
+    /// the add edge.
     pub fn add(&mut self, key: K, value: V) {
-        let hot = &mut self.hot;
-        self.handle.add_with((key, value), |segment, me, pair| hot.place(segment, me, pair));
+        self.handle.add((key, value));
     }
 
     /// Removes an arbitrary element, stealing half of a remote bucket when
@@ -1498,8 +728,7 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
     /// nobody can be adding one), or [`RemoveError::Closed`] when the pool
     /// is closed and holds no element of `key` anywhere.
     pub fn try_remove_key(&mut self, key: &K) -> Result<V, RemoveError> {
-        let hot = &mut self.hot;
-        self.handle.try_remove_filtered(&KeyFilter(key), 0, None, |h| hot.pop(h, key))
+        self.handle.try_remove_filtered(&KeyFilter(key), 0, None)
     }
 
     /// Removes an element with the given key, waiting under `wait` — the
@@ -1547,9 +776,7 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
         attempts: usize,
         deadline: Option<Instant>,
     ) -> Result<V, RemoveError> {
-        let hot = &mut self.hot;
-        self.handle
-            .remove_bounded_filtered(&KeyFilter(key), wait, attempts, deadline, |h| hot.pop(h, key))
+        self.handle.remove_bounded_filtered(&KeyFilter(key), wait, attempts, deadline)
     }
 
     /// Returns a future resolving to a value under `key` — the async
@@ -1987,70 +1214,8 @@ mod tests {
     }
 
     #[test]
-    fn manual_promote_demote_conserves_the_multiset() {
-        let pool: KeyedPool<u8, u32> = KeyedPool::new(1);
-        let mut h = pool.register();
-        for v in 0..10 {
-            h.add(5, v);
-        }
-        pool.promote_key(&5);
-        assert_eq!(pool.key_len(&5), 10, "splitting moves, never drops");
-        assert_eq!(pool.stats().pool.hot_buckets, 1);
-        // Adds and removes keep flowing through the split bucket.
-        for v in 10..20 {
-            h.add(5, v);
-        }
-        assert_eq!(pool.key_len(&5), 20);
-        pool.demote_key(&5);
-        assert_eq!(pool.stats().pool.hot_buckets, 0);
-        assert_eq!(pool.key_len(&5), 20, "merging moves, never drops");
-        let mut got = std::collections::BTreeSet::new();
-        for _ in 0..20 {
-            got.insert(h.try_remove_key(&5).expect("all 20 still present"));
-        }
-        assert_eq!(got, (0..20).collect());
-        let stats = pool.stats();
-        assert_eq!(stats.pool.hotkey_promotions, 1);
-        assert_eq!(stats.pool.hotkey_demotions, 1);
-    }
-
-    #[test]
-    fn sampling_promotes_hot_keys_and_demotes_cooled_ones() {
-        let pool: KeyedPool<u8, u32> = KeyedPoolBuilder::new(1)
-            .hot_keys(HotKeyConfig {
-                sample_every: 1,
-                window: 8,
-                sub_shards: 4,
-                promote_pct: 50,
-                demote_pct: 20,
-            })
-            .build();
-        let mut h = pool.register();
-        for v in 0..16 {
-            h.add(7, v);
-        }
-        assert!(pool.stats().pool.hotkey_promotions >= 1, "a dominant key splits its bucket");
-        assert_eq!(pool.stats().pool.hot_buckets, 1);
-        assert_eq!(pool.key_len(&7), 16, "split under live adds loses nothing");
-        // Traffic moves on: the window forgets key 7 and a later sampled
-        // op's hysteresis sweep merges the bucket back.
-        for key in 0..16u8 {
-            h.add(100 + key, 0);
-        }
-        assert_eq!(pool.stats().pool.hot_buckets, 0, "cooled key demoted");
-        assert!(pool.stats().pool.hotkey_demotions >= 1);
-        assert_eq!(pool.key_len(&7), 16, "demotion under other traffic loses nothing");
-        let mut got = std::collections::BTreeSet::new();
-        for _ in 0..16 {
-            got.insert(h.try_remove_key(&7).expect("all of key 7 present"));
-        }
-        assert_eq!(got, (0..16).collect());
-    }
-
-    #[test]
     fn uniform_traffic_never_promotes() {
-        // Default knobs: promotion needs ~8% of a 256-sample window on one
-        // key; 100 keys in round-robin peak at 1%.
+        // No bucket is ever split: the kept hot-key counters read 0.
         let pool: KeyedPool<u32, u32> = KeyedPool::new(2);
         let mut h = pool.register();
         for i in 0..2_000u32 {
@@ -2062,42 +1227,6 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.pool.hotkey_promotions, 0, "no skew, no splits");
         assert_eq!(stats.pool.hot_buckets, 0);
-    }
-
-    #[test]
-    fn heat_weighted_steal_prefers_the_hot_bucket() {
-        // Without heat, the steal sweep picks the largest bucket (see
-        // remove_any_steals_largest_bucket). Here the *smaller* bucket is
-        // hot: score = len·(1 + 4·heat) must rank 6 hot over 20 cold.
-        let pool: KeyedPool<u8, u32> = KeyedPoolBuilder::new(2)
-            .hot_keys(HotKeyConfig {
-                sample_every: 1,
-                window: 64,
-                sub_shards: 2,
-                promote_pct: 100, // never split: isolates the victim ranking
-                demote_pct: 1,
-            })
-            .build();
-        let mut thief = pool.register(); // home 0
-        let mut victim = pool.register(); // home 1
-                                          // The cold bulk arrives via a batch (batches are not sampled), so
-                                          // the window sees only key-2 traffic.
-        victim.add_batch((0..20u32).map(|v| (1u8, v)));
-        for v in 0..6 {
-            victim.add(2, v + 100);
-        }
-        // Only adds feed the window (producer-side sampling), so the heat
-        // comes from the add half of each pair: 6 + 40 key-2 samples in a
-        // 64-sample window → heat ≈ 0.72 → score 6·(1 + 4·0.72) ≈ 23 > 20.
-        for _ in 0..40 {
-            victim.add(2, 999);
-            let _ = victim.try_remove_key(&2);
-        }
-        assert_eq!(pool.key_len(&2), 6);
-        let (key, _) = thief.try_remove_any().expect("elements exist");
-        assert_eq!(key, 2, "heat outweighs raw occupancy");
-        assert_eq!(thief.stats().elements_stolen, 3, "ceil(6/2) of the hot bucket");
-        assert_eq!(pool.key_len(&1), 20, "the cold bucket was not touched");
     }
 
     #[test]
@@ -2118,78 +1247,5 @@ mod tests {
             "evictions counted, got {}",
             stats.pool.bucket_evictions
         );
-    }
-
-    #[test]
-    fn close_wakes_blocked_removers_across_a_split() {
-        // The close()/timeout contract must survive a bucket split: parked
-        // keyed removers drain a split bucket's residue, then see Closed.
-        let pool: KeyedPool<u8, u32> = KeyedPool::new(2);
-        pool.promote_key(&1);
-        thread::scope(|s| {
-            let mut producer = pool.register();
-            let mut consumer = pool.register();
-            s.spawn(move || {
-                producer.add(1, 10);
-                producer.close();
-            });
-            s.spawn(move || {
-                let mut got = 0;
-                let err = loop {
-                    match consumer.remove_key(&1, WaitStrategy::Block) {
-                        Ok(_) => got += 1,
-                        Err(err) => break err,
-                    }
-                };
-                assert_eq!(got, 1, "split-bucket residue delivered before Closed");
-                assert_eq!(err, RemoveError::Closed);
-            });
-        });
-    }
-
-    #[test]
-    fn remove_key_timeout_expires_across_a_split() {
-        let pool: KeyedPool<u8, u32> = KeyedPool::new(2);
-        pool.promote_key(&2);
-        let mut h = pool.register();
-        let _idle = pool.register(); // keeps the gate from firing
-        h.add(2, 20);
-        let t0 = std::time::Instant::now();
-        assert_eq!(
-            h.remove_key_timeout(&1, std::time::Duration::from_millis(15)),
-            Err(RemoveError::Timeout)
-        );
-        assert!(t0.elapsed() >= std::time::Duration::from_millis(15));
-        assert_eq!(pool.key_len(&2), 1, "the split bucket's element is untouched");
-    }
-
-    #[test]
-    fn stale_hot_cache_falls_back_after_demotion() {
-        let pool: KeyedPool<u8, u32> = KeyedPoolBuilder::new(1)
-            .hot_keys(HotKeyConfig {
-                sample_every: 1,
-                window: 8,
-                sub_shards: 2,
-                promote_pct: 50,
-                demote_pct: 20,
-            })
-            .build();
-        let mut h = pool.register();
-        for v in 0..8 {
-            h.add(3, v);
-        }
-        assert_eq!(pool.stats().pool.hot_buckets, 1);
-        // Demote behind the handle's back: its cached split bucket is now
-        // sealed, so the next ops must bounce to the routed path and still
-        // land correctly.
-        pool.demote_key(&3);
-        let mut h2 = pool.register();
-        h2.add(3, 100);
-        assert_eq!(pool.key_len(&3), 9);
-        let mut got = std::collections::BTreeSet::new();
-        for _ in 0..9 {
-            got.insert(h2.try_remove_key(&3).expect("all present"));
-        }
-        assert_eq!(got, (0..8).chain([100]).collect());
     }
 }

@@ -107,7 +107,6 @@ pub mod error;
 pub mod future;
 pub mod gate;
 pub mod hints;
-pub mod hotkey;
 pub mod ids;
 pub mod keyed;
 pub mod magazine;
@@ -125,7 +124,6 @@ pub use error::RemoveError;
 pub use future::{KeyedRemoveFuture, RemoveFuture, RemoveKeyFuture};
 pub use gate::SearchGate;
 pub use hints::{HintBoard, HINT_BOARD_RESOURCE};
-pub use hotkey::HotKeyConfig;
 pub use ids::{ProcId, SegIdx};
 pub use keyed::{KeyedHandle, KeyedPool, KeyedPoolBuilder, KeyedSegment};
 pub use magazine::{CacheOutcome, Depot, MagazineCache, PopOutcome};
@@ -147,7 +145,6 @@ pub mod prelude {
     pub use crate::error::RemoveError;
     pub use crate::future::exec::{block_on, Fleet};
     pub use crate::future::{KeyedRemoveFuture, RemoveFuture, RemoveKeyFuture};
-    pub use crate::hotkey::HotKeyConfig;
     pub use crate::ids::{ProcId, SegIdx};
     pub use crate::keyed::{KeyedHandle, KeyedPool, KeyedPoolBuilder};
     pub use crate::notify::Notifier;

@@ -275,7 +275,7 @@ impl<S: Segment, T: Timing> PoolBuilder<S, T> {
     }
 
     /// Builds the pool over caller-constructed segments (the keyed
-    /// frontend's segments share hot-key state the family hook cannot
+    /// frontend's segments carry a residency bound the family hook cannot
     /// configure).
     pub(crate) fn build_from<P: SearchPolicy>(self, segments: Vec<S>, policy: P) -> Pool<S, P, T> {
         assert_eq!(segments.len(), self.segments, "one segment per pool slot");
@@ -690,10 +690,10 @@ where
 /// deposits its statistics with the pool.
 pub struct Handle<S: Segment, P: SearchPolicy, T: Timing = NullTiming> {
     pub(crate) shared: Arc<Shared<S, P, T>>,
-    pub(crate) me: ProcId,
-    pub(crate) seg: SegIdx,
+    me: ProcId,
+    seg: SegIdx,
     state: P::State,
-    pub(crate) stats: ProcStats,
+    stats: ProcStats,
     /// The latency-sampling countdowns: which operations read the clock.
     sampler: Sampler,
     /// Armed waker-registration ticket from [`poll_remove`](Self::poll_remove)
@@ -798,16 +798,6 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
     /// edge instead of waiting out a backoff. The signal is one fence plus
     /// one load when nobody is parked.
     pub fn add(&mut self, item: S::Item) {
-        self.add_with(item, |seg, _, item| seg.add(item));
-    }
-
-    /// [`add`](Self::add) with the segment placement supplied by the
-    /// caller: `place` runs exactly where the plain add calls
-    /// [`Segment::add`] — after the magazine check, the hint donation and
-    /// the home-segment charge, with the operation's timer running — and
-    /// must put the item into the home segment it is handed (the keyed
-    /// frontend routes hot keys to split buckets there).
-    pub(crate) fn add_with(&mut self, item: S::Item, place: impl FnOnce(&S, ProcId, S::Item)) {
         let mut item = item;
         // Magazine fast path, before the timer even starts: a cached add is
         // a handful of thread-local instructions, and a timed op's two clock
@@ -881,7 +871,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
             }
         }
         self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-        place(&self.shared.segments[self.seg.index()], self.me, item);
+        self.shared.segments[self.seg.index()].add(item);
         // Signal after releasing the segment lock: the element is already
         // visible to any woken searcher's probe.
         self.shared.registry.notifier().notify_all();
@@ -899,14 +889,12 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
     /// [`RemoveError::Closed`] when, additionally, the pool is
     /// [closed](Self::close) and drained.
     pub fn try_remove(&mut self) -> Result<S::Item, RemoveError> {
-        self.try_remove_filtered(&Any, self.shared.remove_overhead_ns, None, |_| None)
+        self.try_remove_filtered(&Any, self.shared.remove_overhead_ns, None)
     }
 
     /// One remove attempt scoped by `filter`: the private magazines, then
-    /// `fast` (a frontend shortcut that bypasses the segment lock; the
-    /// plain remove has none), then one [`Shared::remove_pass`]. The
-    /// attempt takes one sampling tick, and one timer runs from the miss
-    /// of the magazines through `fast` and the pass.
+    /// one [`Shared::remove_pass`]. The attempt takes one sampling tick,
+    /// and one timer runs from the miss of the magazines through the pass.
     ///
     /// The per-operation overhead charge is explicit (so the batched paths
     /// — which already paid the overhead for the whole batch — can fall
@@ -918,14 +906,13 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
         filter: &F,
         overhead_ns: u64,
         wait: Option<&mut WaitCtl<'_>>,
-        fast: impl FnOnce(&Self) -> Option<F::Output>,
     ) -> Result<F::Output, RemoveError> {
         // Serve from the private magazines first: a hit is a thread-local
         // pop, a refill claims one full magazine from the depot for this
         // and the next `cap - 1` removes. The handle's own cached elements
         // are invisible to every pool-side path, so a scoped remove must
         // scan them here or it could wait forever on elements it holds.
-        // Each exit ticks where it records, as in `add_with`.
+        // Each exit ticks where it records, as in `add`.
         if let Some((item, refilled)) = self.take_cached(filter, overhead_ns) {
             self.stats.depot_exchanges += u64::from(refilled);
             self.stats.record_cached_remove(self.sampler.remove().is_due());
@@ -933,10 +920,6 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
         }
         let tick = self.sampler.remove();
         let timer = OpTimer::sampled(&self.shared.timing, self.me, overhead_ns, tick);
-        if let Some(out) = fast(self) {
-            timer.finish_local_remove(&mut self.stats);
-            return Ok(out);
-        }
         self.shared.remove_pass(
             filter,
             self.me,
@@ -1036,9 +1019,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
         let mut ctl = WaitCtl::new_poll(shared.notifier(), None, cx.waker(), &mut slot);
         let out = crate::core::drive_remove(
             &mut ctl,
-            |ctl| {
-                self.try_remove_filtered(&Any, std::mem::take(&mut overhead), Some(ctl), |_| None)
-            },
+            |ctl| self.try_remove_filtered(&Any, std::mem::take(&mut overhead), Some(ctl)),
             || shared.drained_for(&Any),
             || shared.notifier().is_closed(),
         );
@@ -1048,8 +1029,8 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
 
     /// The blocking-remove primitive scoped by `filter` — see
     /// [`PoolOps::remove_bounded`] for the contract. Every pass runs
-    /// [`try_remove_filtered`](Self::try_remove_filtered) with `fast`, and
-    /// the drained check (with it the terminal `Closed`/`Aborted` mapping)
+    /// [`try_remove_filtered`](Self::try_remove_filtered), and the drained
+    /// check (with it the terminal `Closed`/`Aborted` mapping)
     /// is scoped to the filter.
     ///
     /// # Panics
@@ -1061,7 +1042,6 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
         wait: WaitStrategy,
         attempts: usize,
         deadline: Option<Instant>,
-        mut fast: impl FnMut(&Self) -> Option<F::Output>,
     ) -> Result<F::Output, RemoveError> {
         assert!(attempts > 0, "a blocking remove needs at least one attempt");
         // The controller and the driver's snapshots borrow from a local Arc
@@ -1074,14 +1054,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
         let mut overhead = shared.remove_overhead_ns;
         let out = crate::core::drive_remove(
             &mut ctl,
-            |ctl| {
-                self.try_remove_filtered(
-                    filter,
-                    std::mem::take(&mut overhead),
-                    Some(ctl),
-                    &mut fast,
-                )
-            },
+            |ctl| self.try_remove_filtered(filter, std::mem::take(&mut overhead), Some(ctl)),
             || shared.drained_for(filter),
             || shared.registry.notifier().is_closed(),
         );
@@ -1140,7 +1113,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
         attempts: usize,
         deadline: Option<Instant>,
     ) -> Result<S::Item, RemoveError> {
-        self.remove_bounded_filtered(&Any, wait, attempts, deadline, |_| None)
+        self.remove_bounded_filtered(&Any, wait, attempts, deadline)
     }
 
     fn add_batch<I: IntoIterator<Item = S::Item>>(&mut self, items: I) {

@@ -306,20 +306,18 @@ impl ProcStats {
 }
 
 /// Pool-wide event counters that belong to no single process — the keyed
-/// frontend's bucket-residency and hot-key accounting. Zero for plain
-/// pools; filled in by [`KeyedPool::stats`](crate::KeyedPool::stats).
+/// frontend's bucket-residency accounting. Zero for plain pools; filled in
+/// by [`KeyedPool::stats`](crate::KeyedPool::stats).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolCounters {
     /// Empty buckets evicted past the resident-buckets bound (see
     /// [`KeyedPoolBuilder::resident_buckets_max`](crate::KeyedPoolBuilder::resident_buckets_max)).
     pub bucket_evictions: u64,
-    /// Buckets split into sub-shards by hot-key detection (or manual
-    /// promotion), cumulative.
+    /// Always 0 since hot-key splitting was removed; kept for the repo
+    /// benchmark's `hotkey.*` rows.
     pub hotkey_promotions: u64,
-    /// Split buckets merged back to plain, cumulative.
-    pub hotkey_demotions: u64,
-    /// Currently split buckets across all segments (a gauge, not a
-    /// counter).
+    /// Always 0 since hot-key splitting was removed; kept for the repo
+    /// benchmark's `hotkey.*` rows.
     pub hot_buckets: u64,
 }
 
@@ -329,7 +327,7 @@ pub struct PoolCounters {
 pub struct PoolStats {
     /// Per-process statistics, indexed by process id.
     pub per_proc: Vec<ProcStats>,
-    /// Pool-wide counters (keyed-frontend residency and hot-key events).
+    /// Pool-wide counters (keyed-frontend bucket residency).
     pub pool: PoolCounters,
 }
 

@@ -54,11 +54,6 @@ impl TraceRecorder {
         TraceRecorder { buffers: (0..procs).map(|_| Mutex::new(Vec::new())).collect() }
     }
 
-    /// Number of per-process buffers.
-    pub fn procs(&self) -> usize {
-        self.buffers.len()
-    }
-
     /// Records one event on `event.proc`'s buffer.
     ///
     /// Process ids are never reused, so a handle registered after another

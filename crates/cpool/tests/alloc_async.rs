@@ -191,10 +191,7 @@ fn fleet_wake_repoll_churn_allocates_nothing() {
     const TASKS: usize = 32;
     const WANTED: u8 = 1;
     const NOISE: u8 = 0;
-    // Hot-key detection off: this test pins the waker machinery, and the
-    // detector's own steady-state allocation behavior (first-sample count
-    // nodes, promotion) is pinned by `alloc_steal.rs`.
-    let pool: KeyedPool<u8, u64> = KeyedPoolBuilder::new(2).hot_keys_disabled().build();
+    let pool: KeyedPool<u8, u64> = KeyedPoolBuilder::new(2).build();
     let mut producer = pool.register();
     let h = pool.register();
     let mut fleet = Fleet::new();

@@ -256,39 +256,3 @@ fn steady_state_steal_paths_allocate_nothing() {
         "KeyedPool: steady-state keyed add/steal/refill/remove cycle must not allocate"
     );
 }
-
-/// The hot-key **sub-shard** steady state: with the traffic key's bucket
-/// split on both segments, the same keyed add/steal/refill/remove cycle
-/// stays allocation-free — sub-shard pushes and pops reuse shard capacity
-/// grown in warmup, the sub-shard-wise steal-half fills a recycled shell,
-/// and the detector's pre-allocated sample window reuses its single map
-/// node for the stable hot key (sampling runs at the default rate
-/// throughout the measured rounds).
-#[test]
-fn hot_key_sub_shard_steady_state_allocates_nothing() {
-    let pool: KeyedPool<u8, u64> = KeyedPool::new(2);
-    pool.promote_key(&7); // keyed_round's traffic key
-    let mut thief = pool.register();
-    let mut victim = pool.register();
-    // Warmup both grows shard/shell capacity and lets the sampling window
-    // saturate on the hot key, so promotion state is stable before
-    // measuring (an early sample may demote the manual split until enough
-    // heat accumulates; by the end of warmup both segments are split).
-    for _ in 0..WARMUP_ROUNDS {
-        keyed_round(&mut thief, &mut victim);
-    }
-    assert_eq!(pool.total_len(), 0, "hot rounds are balanced");
-    assert_eq!(pool.stats().pool.hot_buckets, 2, "the hot key is split on both segments");
-    let hits = count_allocs(|| {
-        for _ in 0..MEASURED_ROUNDS {
-            keyed_round(&mut thief, &mut victim);
-        }
-    });
-    assert_eq!(pool.stats().pool.hot_buckets, 2, "still split: no demote thrash under heat");
-    assert!(thief.stats().steals >= (WARMUP_ROUNDS + MEASURED_ROUNDS) as u64, "every round stole");
-    assert_eq!(
-        hits, 0,
-        "KeyedPool: the sub-shard add/steal/refill/remove steady state must not allocate \
-         ({MEASURED_ROUNDS} rounds through split buckets)"
-    );
-}

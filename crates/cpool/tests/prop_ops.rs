@@ -370,37 +370,6 @@ proptest! {
     }
 }
 
-/// Script alphabet for the hot-key properties: the multimap ops plus
-/// explicit bucket splits/merges and a second handle whose keyed removes
-/// exercise the steal paths (its home is another segment).
-#[derive(Clone, Debug)]
-enum HotOp {
-    Add(u16),
-    AddBatch(Vec<u16>),
-    RemoveAny,
-    RemoveKey(u8),
-    StealKey(u8),
-    Promote(u8),
-    Demote(u8),
-    Drain,
-}
-
-fn hot_script() -> impl Strategy<Value = Vec<HotOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0u16..500).prop_map(HotOp::Add),
-            prop::collection::vec(0u16..500, 0..12).prop_map(HotOp::AddBatch),
-            Just(HotOp::RemoveAny),
-            (0u8..4).prop_map(HotOp::RemoveKey),
-            (0u8..4).prop_map(HotOp::StealKey),
-            (0u8..4).prop_map(HotOp::Promote),
-            (0u8..4).prop_map(HotOp::Demote),
-            Just(HotOp::Drain),
-        ],
-        0..200,
-    )
-}
-
 /// Pops one `(key, value)` pair out of the model, failing if the pool
 /// invented it.
 fn model_take(
@@ -419,157 +388,5 @@ fn model_take(
             true
         }
         _ => false,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Keyed pool with hot-key machinery driven *explicitly*: arbitrary
-    /// interleavings of bucket splits and merges with adds, keyed and
-    /// any-key removes, cross-segment steals, batches, and drains preserve
-    /// the per-key multiset exactly.
-    #[test]
-    fn split_and_demote_preserve_the_per_key_multiset(
-        ops in hot_script(),
-        segs in 2usize..5,
-    ) {
-        let pool: KeyedPool<u8, u16> = KeyedPool::new(segs);
-        let mut h = pool.register(); // home 0
-        let mut thief = pool.register(); // home 1: its keyed removes steal
-        let mut model: BTreeMap<(u8, u16), usize> = BTreeMap::new();
-        let mut model_len = 0usize;
-        let key_of = |v: u16| (v % 4) as u8;
-
-        for op in &ops {
-            match op {
-                HotOp::Add(v) => {
-                    h.add(key_of(*v), *v);
-                    *model.entry((key_of(*v), *v)).or_default() += 1;
-                    model_len += 1;
-                }
-                HotOp::AddBatch(vs) => {
-                    h.add_batch(vs.iter().map(|&v| (key_of(v), v)));
-                    for &v in vs {
-                        *model.entry((key_of(v), v)).or_default() += 1;
-                        model_len += 1;
-                    }
-                }
-                // Removes run only when they can succeed: with a second
-                // registered (idle) handle the §3.2 gate never fires, so a
-                // fruitless try_remove would search forever by design.
-                HotOp::RemoveAny => {
-                    if model_len == 0 {
-                        continue;
-                    }
-                    let (k, v) = h.try_remove_any().expect("elements exist");
-                    prop_assert_eq!(k, key_of(v), "value under the wrong key");
-                    prop_assert!(
-                        model_take(&mut model, &mut model_len, k, v),
-                        "pool invented a pair"
-                    );
-                }
-                HotOp::RemoveKey(k) | HotOp::StealKey(k) => {
-                    if !model.keys().any(|(mk, _)| mk == k) {
-                        continue;
-                    }
-                    let hand = if matches!(op, HotOp::StealKey(_)) { &mut thief } else { &mut h };
-                    let v = hand.try_remove_key(k).expect("key observed non-empty");
-                    prop_assert_eq!(key_of(v), *k, "value under the wrong key");
-                    prop_assert!(
-                        model_take(&mut model, &mut model_len, *k, v),
-                        "pool invented a pair"
-                    );
-                }
-                HotOp::Promote(k) => pool.promote_key(k),
-                HotOp::Demote(k) => pool.demote_key(k),
-                HotOp::Drain => {
-                    let got = h.drain();
-                    prop_assert_eq!(got.len(), model_len, "drain missed pairs");
-                    for (k, v) in got {
-                        prop_assert!(
-                            model_take(&mut model, &mut model_len, k, v),
-                            "drain invented a pair"
-                        );
-                    }
-                    prop_assert_eq!(model_len, 0);
-                }
-            }
-            prop_assert_eq!(pool.total_len(), model_len);
-        }
-    }
-
-    /// The same conservation with splits driven by the *sampling detector*
-    /// (aggressive knobs, skewed keys): promotions and demotions fire on
-    /// their own and must never lose or invent elements.
-    #[test]
-    fn sampled_promotion_preserves_the_per_key_multiset(
-        ops in hot_script(),
-        segs in 1usize..4,
-    ) {
-        let pool: KeyedPool<u8, u16> = KeyedPoolBuilder::new(segs)
-            .hot_keys(HotKeyConfig {
-                sample_every: 1,
-                window: 16,
-                sub_shards: 3,
-                promote_pct: 40,
-                demote_pct: 10,
-            })
-            .build();
-        let mut h = pool.register();
-        let mut h2 = pool.register();
-        let mut model: BTreeMap<(u8, u16), usize> = BTreeMap::new();
-        let mut model_len = 0usize;
-        // Skew: most values land on key 0, so the detector promotes it.
-        let key_of = |v: u16| if v < 350 { 0u8 } else { (v % 4) as u8 };
-
-        for op in &ops {
-            match op {
-                HotOp::Add(v) => {
-                    h.add(key_of(*v), *v);
-                    *model.entry((key_of(*v), *v)).or_default() += 1;
-                    model_len += 1;
-                }
-                HotOp::AddBatch(vs) => {
-                    h.add_batch(vs.iter().map(|&v| (key_of(v), v)));
-                    for &v in vs {
-                        *model.entry((key_of(v), v)).or_default() += 1;
-                        model_len += 1;
-                    }
-                }
-                // Same guard as above: removes only when satisfiable.
-                HotOp::RemoveAny => {
-                    if model_len == 0 {
-                        continue;
-                    }
-                    let (k, v) = h.try_remove_any().expect("elements exist");
-                    prop_assert_eq!(k, key_of(v));
-                    prop_assert!(model_take(&mut model, &mut model_len, k, v));
-                }
-                HotOp::RemoveKey(k) | HotOp::StealKey(k) => {
-                    if !model.keys().any(|(mk, _)| mk == k) {
-                        continue;
-                    }
-                    let hand = if matches!(op, HotOp::StealKey(_)) { &mut h2 } else { &mut h };
-                    let v = hand.try_remove_key(k).expect("key observed non-empty");
-                    prop_assert_eq!(key_of(v), *k);
-                    prop_assert!(model_take(&mut model, &mut model_len, *k, v));
-                }
-                // The detector owns splits here; manual ops still allowed.
-                HotOp::Promote(k) => pool.promote_key(k),
-                HotOp::Demote(k) => pool.demote_key(k),
-                HotOp::Drain => {
-                    let got = h.drain();
-                    prop_assert_eq!(got.len(), model_len);
-                    for (k, v) in got {
-                        prop_assert!(model_take(&mut model, &mut model_len, k, v));
-                    }
-                }
-            }
-            prop_assert_eq!(pool.total_len(), model_len);
-        }
-
-        let stats = pool.stats();
-        let _ = stats.pool.hotkey_promotions; // sampled splits may or may not fire per script
     }
 }

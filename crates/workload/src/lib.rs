@@ -33,7 +33,7 @@ pub use arrangement::{Arrangement, Role};
 pub use budget::OpBudget;
 pub use bursty::BurstyStream;
 pub use mix::{JobMix, KeyedMix, KeyedMixStream};
-pub use phased::{hot_set_migration, PhasedKeyStream, PhasedStream};
+pub use phased::PhasedStream;
 pub use stream::{Op, OpStream, RandomMixStream, RoleStream};
 pub use zipf::{KeyDist, KeyStream, Keys, UniformKeys, ZipfKeys};
 

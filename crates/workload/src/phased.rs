@@ -63,88 +63,11 @@ impl OpStream for PhasedStream {
     }
 }
 
-/// A key stream that switches between sub-streams after fixed draw counts
-/// — the key-dimension analogue of [`PhasedStream`]. The final phase runs
-/// forever.
-#[derive(Clone, Debug)]
-pub struct PhasedKeyStream {
-    phases: Vec<(u64, crate::zipf::Keys)>,
-    current: usize,
-    issued_in_phase: u64,
-}
-
-impl PhasedKeyStream {
-    /// Creates a phased key stream from `(draws, keys)` pairs; the last
-    /// phase's count is ignored (it runs until the trial ends).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `phases` is empty.
-    pub fn new(phases: Vec<(u64, crate::zipf::Keys)>) -> Self {
-        assert!(!phases.is_empty(), "phased key stream needs at least one phase");
-        PhasedKeyStream { phases, current: 0, issued_in_phase: 0 }
-    }
-
-    /// Index of the phase currently issuing keys.
-    pub fn current_phase(&self) -> usize {
-        self.current
-    }
-}
-
-impl crate::zipf::KeyStream for PhasedKeyStream {
-    fn next_key(&mut self) -> u64 {
-        while self.current + 1 < self.phases.len()
-            && self.issued_in_phase >= self.phases[self.current].0
-        {
-            self.current += 1;
-            self.issued_in_phase = 0;
-        }
-        self.issued_in_phase += 1;
-        self.phases[self.current].1.next_key()
-    }
-}
-
-/// The hot-set-migration scenario: `phases` back-to-back Zipf(`s`) streams
-/// over `0..keys`, each lasting `phase_ops` draws, with the hot set
-/// rotated to a different region of the key space every phase (phase `i`'s
-/// hottest key is `i * keys / phases`). This is the stress case for
-/// adaptive hot-key sharding: heat must decay on the old hot set (demote)
-/// and build on the new one (promote) at every boundary.
-///
-/// # Panics
-///
-/// Panics if `keys` or `phases` is zero.
-pub fn hot_set_migration(
-    keys: u64,
-    s: f64,
-    phase_ops: u64,
-    phases: usize,
-    seed: u64,
-) -> PhasedKeyStream {
-    assert!(phases > 0, "hot-set migration needs at least one phase");
-    let stride = (keys / phases as u64).max(1);
-    PhasedKeyStream::new(
-        (0..phases)
-            .map(|i| {
-                let offset = i as u64 * stride;
-                let seed = crate::per_proc_seed(seed, i);
-                (
-                    phase_ops,
-                    crate::zipf::Keys::Zipf(crate::zipf::ZipfKeys::with_offset(
-                        keys, s, seed, offset,
-                    )),
-                )
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arrangement::Role;
     use crate::stream::RoleStream;
-    use crate::zipf::KeyStream;
 
     fn fill_then_drain(fill: u64) -> PhasedStream {
         PhasedStream::new(vec![
@@ -188,29 +111,5 @@ mod tests {
     #[should_panic(expected = "at least one phase")]
     fn empty_phases_panic() {
         let _ = PhasedStream::new(Vec::new());
-    }
-
-    #[test]
-    fn hot_set_migration_moves_the_hot_key() {
-        let phase_ops = 4_000;
-        let mut s = hot_set_migration(100, 2.0, phase_ops, 2, 11);
-        let hottest = |s: &mut PhasedKeyStream| -> u64 {
-            let mut counts = std::collections::BTreeMap::new();
-            for _ in 0..phase_ops {
-                *counts.entry(s.next_key()).or_insert(0u32) += 1;
-            }
-            counts.into_iter().max_by_key(|&(_, c)| c).map(|(k, _)| k).unwrap()
-        };
-        assert_eq!(hottest(&mut s), 0, "phase 0 is hottest at the origin");
-        assert_eq!(hottest(&mut s), 50, "phase 1's hot set migrated half-way across");
-    }
-
-    #[test]
-    fn hot_set_migration_final_phase_is_endless() {
-        let mut s = hot_set_migration(10, 1.1, 4, 3, 0);
-        for _ in 0..100 {
-            assert!(s.next_key() < 10);
-        }
-        assert_eq!(s.current_phase(), 2);
     }
 }

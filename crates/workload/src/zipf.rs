@@ -53,9 +53,8 @@ impl KeyStream for UniformKeys {
 
 /// Zipf-distributed keys over `0..keys`: key `k` maps to rank `k` rotated
 /// by an optional offset, so rank 0 (the hottest key) lands on
-/// `offset % keys` — the offset is what lets phased scenarios *move* the
-/// hot set without changing the distribution (see
-/// [`hot_set_migration`](crate::phased::hot_set_migration)).
+/// `offset % keys` — the offset moves the hot set without changing the
+/// distribution.
 #[derive(Clone, Debug)]
 pub struct ZipfKeys {
     /// Cumulative probabilities of ranks `0..keys`, normalized to end at

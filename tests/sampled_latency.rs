@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use cpool::prelude::*;
-use cpool::{DynTiming, HotKeyConfig, KeyedPool, KeyedPoolBuilder, NullTiming, ProcId, Timing};
+use cpool::{DynTiming, KeyedPool, KeyedPoolBuilder, NullTiming, ProcId, Timing};
 use numa_sim::{LatencyModel, RealTiming, SimScheduler, Topology};
 
 /// The sampling period on a wall clock.
@@ -145,20 +145,18 @@ fn a_batch_remove_that_falls_through_to_a_steal_takes_one_tick() {
 }
 
 #[test]
-fn a_keyed_remove_whose_hot_pop_misses_takes_one_tick() {
-    let hot = HotKeyConfig { sample_every: 1, window: 8, sub_shards: 2, ..HotKeyConfig::default() };
-    let pool: KeyedPool<u8, u32> = KeyedPoolBuilder::new(2).hot_keys(hot).build();
+fn keyed_removes_take_one_tick_whether_local_or_stolen() {
+    let pool: KeyedPool<u8, u32> = KeyedPoolBuilder::new(2).build();
     let mut a = pool.register();
     let mut b = pool.register();
     for v in 0..16 {
         a.add(7, v);
     }
-    assert_eq!(pool.stats().pool.hot_buckets, 1, "key 7 split on A's segment");
     for _ in 0..16 {
-        a.try_remove_key(&7).expect("served from the split bucket");
+        a.try_remove_key(&7).expect("served from A's own bucket");
     }
-    // A's split bucket is now empty: its next removes miss the hot pop,
-    // fall through to the pass and steal B's elements.
+    // A's bucket is now empty: its next removes miss locally, fall through
+    // to the search and steal B's elements.
     for v in 16..32 {
         b.add(7, v);
     }
